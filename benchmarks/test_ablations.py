@@ -160,7 +160,7 @@ def test_ablation_proactive_vs_reactive(benchmark, corpus):
             "page_id": 0,
             "old_version": 0,
             "new_version": 1,
-            "part_requests": [inp.b64e(b"")] * 5,
+            "part_requests": [b""] * 5,
         }
         msg = INPMessage(MsgType.APP_REQ, "bench", 0, body)
         system.appserver.handle(inp.encode(msg))

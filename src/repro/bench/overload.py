@@ -284,7 +284,7 @@ def _phase_deadline(system, registry, seed, page) -> dict:
         "page_id": page,
         "old_version": -1,
         "new_version": 1,
-        "part_requests": [inp.b64e(b"")] * total_parts,
+        "part_requests": [b""] * total_parts,
     }
     msg = INPMessage(
         MsgType.APP_REQ, f"dl-{seed}-app", 0, dict(app_body)

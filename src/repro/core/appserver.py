@@ -300,14 +300,13 @@ class ApplicationServer:
         page_id = body.get("page_id")
         old_version = body.get("old_version", -1)
         new_version = body.get("new_version")
-        part_requests = body.get("part_requests")
         if (
             not isinstance(pad_ids, list)
             or not isinstance(page_id, int)
             or not isinstance(new_version, int)
-            or not isinstance(part_requests, list)
         ):
             raise ProtocolMismatchError("malformed APP_REQ body")
+        part_requests = inp.attachments(body, "part_requests")
         has_old = isinstance(old_version, int) and old_version >= 0
         old_parts = self._page_parts(page_id, old_version) if has_old else None
         new_parts = self._page_parts(page_id, new_version)
@@ -386,9 +385,8 @@ class ApplicationServer:
             stack = self._stack_for(pad_ids)
         responses = []
         with self.telemetry.tracer.span("server.encode", app=self.app_id):
-            for part_idx, (req_b64, new) in enumerate(zip(part_requests, new_parts)):
+            for part_idx, (request, new) in enumerate(zip(part_requests, new_parts)):
                 self._check_part_deadline(deadline, part_idx, len(new_parts))
-                request = inp.b64d(req_b64)
                 registry.counter("appserver.bytes_in").inc(len(request))
                 old = (
                     old_parts[part_idx]
@@ -418,7 +416,7 @@ class ApplicationServer:
                             self._response_cache[key] = response
                 registry.counter("appserver.parts_encoded").inc()
                 registry.counter("appserver.bytes_out").inc(len(response))
-                responses.append(inp.b64e(response))
+                responses.append(response)
         return {
             "page_id": page_id,
             "new_version": new_version,
@@ -476,9 +474,8 @@ class ApplicationServer:
         pool = self.kernel_pool if self.kernel_pool is not None else _INLINE_POOL
         responses = []
         with self.telemetry.tracer.span("server.encode", app=self.app_id):
-            for part_idx, (req_b64, new) in enumerate(zip(part_requests, new_parts)):
+            for part_idx, (request, new) in enumerate(zip(part_requests, new_parts)):
                 self._check_part_deadline(deadline, part_idx, len(new_parts))
-                request = inp.b64d(req_b64)
                 registry.counter("appserver.bytes_in").inc(len(request))
                 old = (
                     old_parts[part_idx]
@@ -511,7 +508,7 @@ class ApplicationServer:
                             self._response_cache[key] = response
                 registry.counter("appserver.parts_encoded").inc()
                 registry.counter("appserver.bytes_out").inc(len(response))
-                responses.append(inp.b64e(response))
+                responses.append(response)
         return {
             "page_id": page_id,
             "new_version": new_version,

@@ -508,7 +508,7 @@ class FractalClient:
             with tracer.span("client.encode") as encode_span:
                 for idx in range(n_parts):
                     old = old_parts[idx] if old_parts is not None else None
-                    part_requests.append(inp.b64e(stack.client_request(old)))
+                    part_requests.append(stack.client_request(old))
 
             session_id = f"{self.name}-{next(_session_counter)}"
             req = INPMessage(
@@ -541,25 +541,19 @@ class FractalClient:
                         key=f"{self.name}:app:{page_id}",
                         on_retry=lambda *_: self._count_retry("app"),
                     )
-            responses = rep.body.get("part_responses")
-            if not isinstance(responses, list):
-                raise ProtocolMismatchError("APP_REP carried no part responses")
+            responses = inp.attachments(rep.body, "part_responses")
 
             parts: list[bytes] = []
-            req_bytes = 0
-            resp_bytes = 0
+            req_bytes = sum(map(len, part_requests))
+            resp_bytes = sum(map(len, responses))
             with tracer.span("client.reconstruct") as reconstruct_span:
-                for idx, resp_b64 in enumerate(responses):
-                    response = inp.b64d(resp_b64)
-                    resp_bytes += len(response)
+                for idx, response in enumerate(responses):
                     old = (
                         old_parts[idx]
                         if old_parts is not None and idx < len(old_parts)
                         else None
                     )
                     parts.append(stack.client_reconstruct(old, response))
-            for req_b64 in part_requests:
-                req_bytes += len(inp.b64d(req_b64))
             registry = self.telemetry.registry
             registry.counter("client.app_request_bytes").inc(req_bytes)
             registry.counter("client.app_response_bytes").inc(resp_bytes)

@@ -15,8 +15,34 @@ Message types::
 
 Every packet carries an INP header (protocol version, message type,
 session id, sequence number) for protocol integrity; the body is a JSON
-object, with binary fields base64-armored.  The codec is deliberately
-self-describing so it can cross the real TCP transport unchanged.
+object.  The codec is deliberately self-describing so it can cross the
+real TCP transport unchanged.
+
+Frame grammar::
+
+    frame    = envelope [ NUL tail ]
+    envelope = compact ASCII JSON object, keys in this order:
+               "inp" "type" "session" "seq" "body" ["dl"] ["att"]
+    att      = {"crc": crc32(tail), "keys": [body key, ...]}
+    tail     = every attachment's raw bytes, in "keys" order then list order
+
+A body value that is a non-empty list of ``bytes`` (the ``part_requests``
+/ ``part_responses`` of the application exchange) travels as an
+*attachment list*: in the JSON its place is taken by the list of part
+lengths, ``att.keys`` names the body keys so replaced, and the parts
+themselves follow one ``0x00`` delimiter, unarmored.  The JSON is pure
+ASCII with control characters escaped, so the first NUL of a frame is
+always the delimiter.  Callers hand the codec ``bytes`` and get ``bytes``
+back; how they travel is this module's business alone.  A frame whose
+body holds no ``bytes`` has no ``att`` key, no delimiter and no tail —
+byte for byte the frame every earlier version wrote.
+
+Integrity: an inverted byte (``FaultInjector.corrupt``) inside the
+envelope leaves invalid UTF-8, and the tail — which no JSON parser
+vouches for — is covered by the CRC-32, so :func:`decode` rejects any
+single corrupted byte of a frame.  Decoding is strict: the lengths are non-negative ints, at most
+``MAX_ATTACHMENTS`` of them, summing to exactly the tail's length; an
+index without a tail, or a tail without an index, is a protocol error.
 
 Requests may additionally carry a deadline in the optional ``"dl"``
 envelope key: the sender's *remaining budget in milliseconds*.  The
@@ -33,14 +59,30 @@ import base64
 import enum
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ProtocolMismatchError
 
-__all__ = ["MsgType", "INPMessage", "encode", "decode", "b64e", "b64d", "INP_VERSION"]
+__all__ = [
+    "MsgType",
+    "INPMessage",
+    "encode",
+    "decode",
+    "attachments",
+    "b64e",
+    "b64d",
+    "INP_VERSION",
+    "MAX_ATTACHMENTS",
+]
 
 INP_VERSION = 1
+# Most attachments one frame may index (a page has a handful of parts).
+MAX_ATTACHMENTS = 4096
+
+_DELIMITER = b"\x00"
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class MsgType(str, enum.Enum):
@@ -116,21 +158,78 @@ class INPMessage:
 
 
 def encode(msg: INPMessage) -> bytes:
+    body = msg.body
+    # A list is an attachment list when its first item is bytes; bytes
+    # anywhere else fall through to the JSON encoder's TypeError.
+    keys = [
+        key
+        for key, value in body.items()
+        if isinstance(value, list) and value and isinstance(value[0], bytes)
+    ]
     envelope = {
         "inp": msg.version,
         "type": msg.msg_type.value,
         "session": msg.session_id,
         "seq": msg.seq,
-        "body": msg.body,
+        "body": body,
     }
     if msg.deadline_ms is not None:
         envelope["dl"] = msg.deadline_ms
-    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    if not keys:
+        return _dumps(envelope).encode("utf-8")
+    envelope["body"] = body = dict(body)
+    parts: list[bytes] = []
+    for key in keys:
+        items = body[key]
+        if not all(isinstance(item, bytes) for item in items):
+            raise TypeError(f"INP body list {key!r} mixes bytes and non-bytes")
+        body[key] = [len(item) for item in items]
+        parts += items
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    envelope["att"] = {"crc": crc, "keys": keys}
+    return b"".join([_dumps(envelope).encode("utf-8"), _DELIMITER, *parts])
+
+
+def _split_tail(body: dict, index: Any, blob: bytes, start: int) -> None:
+    """Replace the length lists ``index`` names by slices of the tail
+    ``blob[start:]``."""
+    if not isinstance(index, dict):
+        raise ProtocolMismatchError("INP attachment index must be an object")
+    crc, keys = index.get("crc"), index.get("keys")
+    if type(crc) is not int or not isinstance(keys, list) or not keys:
+        raise ProtocolMismatchError("INP attachment index malformed")
+    if zlib.crc32(memoryview(blob)[start:]) != crc:
+        raise ProtocolMismatchError("INP attachment checksum mismatch")
+    count, pos = 0, start
+    for key in keys:
+        lengths = body.get(key) if isinstance(key, str) else None
+        if not isinstance(lengths, list):
+            raise ProtocolMismatchError(f"INP attachment key {key!r} has no length list")
+        count += len(lengths)
+        if count > MAX_ATTACHMENTS:
+            raise ProtocolMismatchError(
+                f"INP frame indexes more than {MAX_ATTACHMENTS} attachments"
+            )
+        parts = []
+        for n in lengths:
+            if type(n) is not int or n < 0:
+                raise ProtocolMismatchError(f"bad INP attachment length: {n!r}")
+            parts.append(blob[pos : pos + n])
+            pos += n
+        body[key] = parts
+    if pos != len(blob):
+        raise ProtocolMismatchError(
+            f"INP attachment lengths cover {pos - start} bytes of a "
+            f"{len(blob) - start}-byte tail"
+        )
 
 
 def decode(blob: bytes) -> INPMessage:
+    cut = blob.find(_DELIMITER)
     try:
-        envelope = json.loads(blob.decode("utf-8"))
+        envelope = json.loads((blob if cut < 0 else blob[:cut]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolMismatchError(f"undecodable INP packet: {exc}") from exc
     if not isinstance(envelope, dict):
@@ -156,6 +255,11 @@ def decode(blob: bytes) -> INPMessage:
         deadline_ms = float(deadline_ms)
         if not math.isfinite(deadline_ms):
             raise ProtocolMismatchError("INP deadline must be finite")
+    index = envelope.get("att")
+    if (index is None) != (cut < 0):
+        raise ProtocolMismatchError("INP attachment index and tail must come together")
+    if index is not None:
+        _split_tail(body, index, blob, cut + 1)
     return INPMessage(
         msg_type=msg_type,
         session_id=session,
@@ -163,6 +267,18 @@ def decode(blob: bytes) -> INPMessage:
         body=body,
         deadline_ms=deadline_ms,
     )
+
+
+def attachments(body: dict, key: str) -> list[bytes]:
+    """``body[key]`` as the list of ``bytes`` a peer attached.
+
+    The body came off the wire, so anything else — a missing key, a
+    scalar, JSON values where the parts should be — is a protocol error.
+    """
+    parts = body.get(key)
+    if not isinstance(parts, list) or not all(isinstance(p, bytes) for p in parts):
+        raise ProtocolMismatchError(f"INP body carries no attachment list {key!r}")
+    return parts
 
 
 def error_reply(msg: INPMessage, text: str) -> INPMessage:

@@ -44,13 +44,12 @@ class TestApplicationServer:
             "page_id": 0,
             "old_version": 0,
             "new_version": 1,
-            "part_requests": [inp.b64e(b"") for _ in old],
+            "part_requests": [b""] * len(old),
         }
         msg = INPMessage(MsgType.APP_REQ, "t1", 0, body)
         rep = inp.decode(system.appserver.handle(inp.encode(msg)))
         rep.expect(MsgType.APP_REP)
-        parts = [inp.b64d(p) for p in rep.body["part_responses"]]
-        assert parts == page_parts(system.corpus, 0, 1)
+        assert rep.body["part_responses"] == page_parts(system.corpus, 0, 1)
 
     def test_unknown_pad_in_app_req_errors(self, system):
         body = {
@@ -58,7 +57,7 @@ class TestApplicationServer:
             "page_id": 0,
             "old_version": -1,
             "new_version": 0,
-            "part_requests": [inp.b64e(b"")] * 5,
+            "part_requests": [b""] * 5,
         }
         msg = INPMessage(MsgType.APP_REQ, "t2", 0, body)
         rep = inp.decode(system.appserver.handle(inp.encode(msg)))
@@ -70,7 +69,7 @@ class TestApplicationServer:
             "page_id": 0,
             "old_version": -1,
             "new_version": 0,
-            "part_requests": [inp.b64e(b"")],  # page has 5 parts
+            "part_requests": [b""],  # page has 5 parts
         }
         msg = INPMessage(MsgType.APP_REQ, "t3", 0, body)
         rep = inp.decode(system.appserver.handle(inp.encode(msg)))
@@ -92,7 +91,7 @@ class TestApplicationServer:
             "page_id": 0,
             "old_version": 0,
             "new_version": 1,
-            "part_requests": [inp.b64e(b"") for _ in old],
+            "part_requests": [b""] * len(old),
         }
         msg = INPMessage(MsgType.APP_REQ, "t5", 0, body)
         rep = inp.decode(system.appserver.handle(inp.encode(msg)))

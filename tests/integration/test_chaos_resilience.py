@@ -19,8 +19,14 @@ import pytest
 
 from repro.core import client as client_mod
 from repro.core.retry import RetryPolicy
-from repro.core.system import APP_ID, build_case_study
+from repro.core.system import (
+    APP_ID,
+    APPSERVER_ENDPOINT,
+    PROXY_ENDPOINT,
+    build_case_study,
+)
 from repro.faults import FaultInjector, FaultPlan, FaultRule
+from repro.simnet.realnet import TcpTransport
 from repro.simnet.transport import TransportError
 from repro.workload.profiles import DESKTOP_LAN, PAPER_ENVIRONMENTS
 
@@ -94,6 +100,44 @@ class TestAcceptanceRun:
         # The lossy rate must actually have injected wire faults.
         assert result.summaries[-1].faults_injected > 0
         assert result.summaries[-1].retries > 0
+
+
+class TestCorruptDirectResponse:
+    """Direct has no integrity check of its own, and its APP_REP is all
+    but entirely raw attachment bytes: the frame CRC is what turns a
+    flipped page byte into a retry instead of a wrong page."""
+
+    @pytest.mark.parametrize("over_tcp", [False, True], ids=["inproc", "tcp"])
+    def test_corrupt_app_rep_is_counted_retried_and_served_right(
+        self, small_corpus, over_tcp
+    ):
+        system = build_case_study(
+            corpus=small_corpus, calibrate=False, pad_ids=("direct",)
+        )
+        tcp = None
+        if over_tcp:
+            tcp = system.transport = TcpTransport()
+            tcp.bind(PROXY_ENDPOINT, system.proxy.handle)
+            tcp.bind(APPSERVER_ENDPOINT, system.appserver.handle)
+        try:
+            # Links named by destination: the one hit lands on the first
+            # app exchange and negotiation stays clean.
+            plan = FaultPlan.of(FaultRule.frame_corrupt(APPSERVER_ENDPOINT, duration=1))
+            FaultInjector(plan, seed=12).install(system, link_of=lambda src, dst: dst)
+            client = system.make_client(DESKTOP_LAN, retry_policy=FAST_RETRIES)
+            result = client.request_page(APP_ID, 1, new_version=0)
+        finally:
+            if tcp is not None:
+                tcp.close()
+        page = system.corpus.evolved(1, 0)
+        assert result.pad_ids == ("direct",)
+        assert result.parts == [page.text, *page.images]
+        counters = system.telemetry.registry.snapshot()["counters"]
+        assert counters["faults.injected.frame_corrupt"] == 1
+        assert counters["faults.injected"] == 1
+        assert counters["client.retries.app"] == 1
+        assert counters["client.retries"] == 1
+        assert counters["appserver.requests"] == 2
 
 
 NOISY_PLAN = FaultPlan.of(

@@ -57,7 +57,7 @@ def app_req_body(corpus, page):
         "page_id": page,
         "old_version": -1,
         "new_version": 1,
-        "part_requests": [inp.b64e(b"")] * total_parts,
+        "part_requests": [b""] * total_parts,
     }
 
 
