@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.system import CaseStudySystem, build_case_study
+from ..drive import Steps, blocking, call, on_loop, run, run_async, sleep
 from ..simnet.realnet import TcpTransport
 from ..simnet.stats import percentile
 from ..workload.pages import Corpus
@@ -84,36 +85,26 @@ class LatencyTransport:
         self.inner = inner
         self.rtt_s = rtt_s
 
-    def request(self, src: str, dst: str, payload: bytes) -> bytes:
+    def _request_steps(self, src: str, dst: str, payload: bytes) -> Steps:
         if self.rtt_s > 0:
-            time.sleep(self.rtt_s / 2)
-        response = self.inner.request(src, dst, payload)
+            yield sleep(self.rtt_s / 2)
+        response = yield call(self.inner.request, src, dst, payload)
         if self.rtt_s > 0:
-            time.sleep(self.rtt_s / 2)
+            yield sleep(self.rtt_s / 2)
         return response
 
+    request = blocking(_request_steps)
 
-class AsyncLatencyTransport:
-    """Event-loop sibling of :class:`LatencyTransport`.
+
+class AsyncLatencyTransport(LatencyTransport):
+    """:class:`LatencyTransport` over an asyncio transport.
 
     ``asyncio.sleep`` suspends only the calling task, so concurrent
     client tasks overlap their emulated propagation time exactly like
     the threaded workers overlap their ``time.sleep``.
     """
 
-    def __init__(self, inner, rtt_s: float) -> None:
-        if rtt_s < 0:
-            raise ValueError(f"rtt_s must be >= 0, got {rtt_s}")
-        self.inner = inner
-        self.rtt_s = rtt_s
-
-    async def request(self, src: str, dst: str, payload: bytes) -> bytes:
-        if self.rtt_s > 0:
-            await asyncio.sleep(self.rtt_s / 2)
-        response = await self.inner.request(src, dst, payload)
-        if self.rtt_s > 0:
-            await asyncio.sleep(self.rtt_s / 2)
-        return response
+    request = on_loop(LatencyTransport._request_steps)
 
 
 @dataclass
@@ -186,20 +177,23 @@ def _build_load_system(
     )
 
 
-def _worker_loop(
+def _worker_steps(
     client,
     app_id: str,
     corpus: Corpus,
     duration_s: float,
-    start: threading.Event,
+    start,
     tally: WorkerTally,
-) -> None:
+) -> Steps:
+    """One worker's closed loop, for a thread or a task: ``start`` is a
+    ``threading.Event`` or an ``asyncio.Event`` and ``client`` the
+    blocking or the asyncio client to match."""
     environments = PAPER_ENVIRONMENTS
     # Stagger environment order per worker so cold-cache misses spread
     # across keys instead of stampeding the same one.
     offset = tally.worker
     old_pages = [corpus.evolved(p, 0) for p in range(corpus.n_pages)]
-    start.wait()
+    yield call(start.wait)
     deadline = time.perf_counter() + duration_s
     i = 0
     while time.perf_counter() < deadline:
@@ -208,43 +202,8 @@ def _worker_loop(
         old = old_pages[page_id]
         client.set_environment(env)
         try:
-            result = client.request_page(
-                app_id,
-                page_id,
-                old_parts=[old.text, *old.images],
-                old_version=0,
-                new_version=1,
-                force_negotiation=True,
-            )
-        except Exception as exc:  # noqa: BLE001 - the harness must finish
-            tally.record_error(exc)
-        else:
-            tally.record_success(result)
-        i += 1
-
-
-async def _async_worker_loop(
-    client,
-    app_id: str,
-    corpus: Corpus,
-    duration_s: float,
-    start: asyncio.Event,
-    tally: WorkerTally,
-) -> None:
-    """Coroutine twin of :func:`_worker_loop`: same schedule, same tally."""
-    environments = PAPER_ENVIRONMENTS
-    offset = tally.worker
-    old_pages = [corpus.evolved(p, 0) for p in range(corpus.n_pages)]
-    await start.wait()
-    deadline = time.perf_counter() + duration_s
-    i = 0
-    while time.perf_counter() < deadline:
-        env = environments[(offset + i) % len(environments)]
-        page_id = i % corpus.n_pages
-        old = old_pages[page_id]
-        client.set_environment(env)
-        try:
-            result = await client.request_page(
+            result = yield call(
+                client.request_page,
                 app_id,
                 page_id,
                 old_parts=[old.text, *old.images],
@@ -284,41 +243,25 @@ def _rows_balanced(rows: dict) -> bool:
     return all(a == b for a, b in rows.values())
 
 
-def _wire_symmetry_rows(
+def _wire_symmetry_steps(
     transport, client_names: list[str], settle_s: float = 2.0
-) -> dict:
+) -> Steps:
     """Snapshot the symmetry rows, absorbing endpoint metering lag.
 
-    A threaded endpoint records its send-side meter just *after* the
-    response bytes hit the socket, so a client can observe the meters in
-    the instant before the worker thread's update lands (one GIL switch
-    wide).  The convention is right — a failed send must count nothing —
-    so the reader absorbs the lag: poll until the rows balance, bounded
-    by ``settle_s``.  A genuine asymmetry still surfaces as a stable
-    mismatch once the deadline passes.
+    An endpoint records its send-side meter just *after* the response
+    bytes hit the socket (threaded) or in the continuation after its
+    ``drain()`` (asyncio), so a client can observe the meters in the
+    instant before that update lands.  The convention is right — a
+    failed send must count nothing — so the reader absorbs the lag:
+    poll until the rows balance, bounded by ``settle_s``, sleeping
+    through the driver so an event loop keeps running the very
+    continuation being waited for.  A genuine asymmetry still surfaces
+    as a stable mismatch once the deadline passes.
     """
     deadline = time.perf_counter() + settle_s
     rows = _wire_symmetry_snapshot(transport, client_names)
     while not _rows_balanced(rows) and time.perf_counter() < deadline:
-        time.sleep(0.001)
-        rows = _wire_symmetry_snapshot(transport, client_names)
-    return rows
-
-
-async def _wire_symmetry_rows_async(
-    transport, client_names: list[str], settle_s: float = 2.0
-) -> dict:
-    """:func:`_wire_symmetry_rows` for the event-loop path.
-
-    The server coroutine's ``record_send`` runs in the continuation
-    after its ``drain()``, so a client task scheduled between the two
-    can observe early — and a blocking sleep here would starve that very
-    continuation.  Yield to the loop instead.
-    """
-    deadline = time.perf_counter() + settle_s
-    rows = _wire_symmetry_snapshot(transport, client_names)
-    while not _rows_balanced(rows) and time.perf_counter() < deadline:
-        await asyncio.sleep(0.001)
+        yield sleep(0.001)
         rows = _wire_symmetry_snapshot(transport, client_names)
     return rows
 
@@ -376,8 +319,12 @@ def run_load_point(
     try:
         for client, tally in zip(clients, tallies):
             t = threading.Thread(
-                target=_worker_loop,
-                args=(client, app_id, system.corpus, duration_s, start, tally),
+                target=run,
+                args=(
+                    _worker_steps(
+                        client, app_id, system.corpus, duration_s, start, tally
+                    ),
+                ),
                 name=f"load-worker-{tally.worker}",
                 daemon=True,
             )
@@ -389,7 +336,7 @@ def run_load_point(
             t.join()
         elapsed = time.perf_counter() - t0
         extra_ledger = (
-            _wire_symmetry_rows(tcp, [c.name for c in clients])
+            run(_wire_symmetry_steps(tcp, [c.name for c in clients]))
             if tcp is not None
             else None
         )
@@ -672,8 +619,10 @@ async def _async_load_point(
             start = asyncio.Event()
             tasks = [
                 asyncio.create_task(
-                    _async_worker_loop(
-                        client, app_id, system.corpus, duration_s, start, tally
+                    run_async(
+                        _worker_steps(
+                            client, app_id, system.corpus, duration_s, start, tally
+                        )
                     )
                 )
                 for client, tally in zip(clients, tallies)
@@ -682,8 +631,8 @@ async def _async_load_point(
             start.set()
             await asyncio.gather(*tasks)
             elapsed = time.perf_counter() - t0
-            extra_ledger = await _wire_symmetry_rows_async(
-                net, [c.name for c in clients]
+            extra_ledger = await run_async(
+                _wire_symmetry_steps(net, [c.name for c in clients])
             )
     finally:
         pool.close()

@@ -27,10 +27,10 @@ import time
 from typing import Callable, Optional
 
 from ..cdn.origin import OriginServer
+from ..drive import Steps, blocking, layer, on_loop
 from ..mobilecode import Signer
 from ..overload import Deadline, deadline_error_text, overload_reply
 from ..protocols import CommProtocol, build_pad_module, instantiate
-from ..protocols.stack import ProtocolStack
 from ..store.chunkstore import ChunkStore
 from ..telemetry import MetricsRegistry, Telemetry
 from ..workload.pages import Corpus
@@ -42,7 +42,13 @@ from .errors import (
     ServerOverloadedError,
 )
 from .inp import INPMessage, MsgType
-from .kernelpool import KernelPool, StackSpec, stack_spec
+from .kernelpool import (
+    KernelPool,
+    KernelPoolError,
+    StackSpec,
+    _stack_for_spec,
+    stack_spec,
+)
 from .metadata import AppMeta, PADMeta, PADOverhead
 from .proxy import AdaptationProxy
 
@@ -134,12 +140,12 @@ class ApplicationServer:
         self.signer = signer
         self.proactive = proactive
         self.telemetry = telemetry or Telemetry()
-        # Only the async serving path consults the pool; None means the
-        # inline fallback (kernels run on the event loop).
+        # Where encode kernels run; None means the inline fallback
+        # (on the calling thread / event loop).
         self.kernel_pool = kernel_pool
-        # Fleet-level content-addressed store: when set, both serving
-        # paths route part encoding through a StoreBackedResponder so
-        # equal content is chunked/compressed once across all sessions.
+        # Fleet-level content-addressed store: when set, part encoding
+        # goes through a StoreBackedResponder so equal content is
+        # chunked/compressed once across all sessions.
         self.chunk_store = chunk_store
         # Optional AdmissionController consulted before any encode work;
         # None (the default) admits everything.  ``deadline_clock`` is
@@ -243,19 +249,6 @@ class ApplicationServer:
 
     # -- application sessions -------------------------------------------------------
 
-    def _stack_for(self, pad_ids: list[str]) -> CommProtocol:
-        protocols = []
-        for pid in pad_ids:
-            proto = self._protocols.get(pid)
-            if proto is None:
-                raise ProtocolMismatchError(
-                    f"client negotiated PAD {pid!r} which is not deployed here"
-                )
-            protocols.append(proto)
-        if len(protocols) == 1:
-            return protocols[0]
-        return ProtocolStack(protocols)
-
     def _page_parts(self, page_id: int, version: int) -> list[bytes]:
         page = self.corpus.evolved(page_id, version)
         return [page.text, *page.images]
@@ -268,7 +261,7 @@ class ApplicationServer:
         proactive adaptive content: spend memory now, skip server compute
         at request time.
         """
-        stack = self._stack_for(pad_ids)
+        stack = _stack_for_spec(self._stack_spec_for(pad_ids))
         old_parts = self._page_parts(page_id, old_version) if old_version >= 0 else None
         new_parts = self._page_parts(page_id, new_version)
         count = 0
@@ -294,8 +287,7 @@ class ApplicationServer:
 
     def _parse_app_req(self, body: dict) -> tuple:
         """Validate an APP_REQ body; returns the decoded request fields
-        plus the old/new page parts.  Shared by the sync and async
-        serving paths so both enforce identical wire discipline."""
+        plus the old/new page parts."""
         pad_ids = body.get("pad_ids")
         page_id = body.get("page_id")
         old_version = body.get("old_version", -1)
@@ -363,72 +355,9 @@ class ApplicationServer:
             )
         )
 
-    def serve_app_request(
-        self, body: dict, *, deadline: Optional[Deadline] = None
-    ) -> dict:
-        """The server half of an APP_REQ: encode every requested part."""
-        registry = self.telemetry.registry
-        registry.counter("appserver.requests").inc()
-        (
-            pad_ids,
-            page_id,
-            old_version,
-            new_version,
-            part_requests,
-            old_parts,
-            new_parts,
-        ) = self._parse_app_req(body)
-        if self.chunk_store is not None:
-            spec = self._stack_spec_for(pad_ids)
-            responder = self._store_responder()
-        else:
-            stack = self._stack_for(pad_ids)
-        responses = []
-        with self.telemetry.tracer.span("server.encode", app=self.app_id):
-            for part_idx, (request, new) in enumerate(zip(part_requests, new_parts)):
-                self._check_part_deadline(deadline, part_idx, len(new_parts))
-                registry.counter("appserver.bytes_in").inc(len(request))
-                old = (
-                    old_parts[part_idx]
-                    if old_parts and part_idx < len(old_parts)
-                    else None
-                )
-                key = self._cache_key(pad_ids, page_id, old_version, new_version,
-                                      part_idx, request)
-                with self._cache_lock:
-                    cached = self._response_cache.get(key)
-                if cached is not None:
-                    registry.counter("appserver.precompute_hits").inc()
-                    response = cached
-                elif self.chunk_store is not None:
-                    # The responder wraps only real computes in the
-                    # encode timer; store hits cost no encode time.
-                    registry.counter("appserver.store_requests").inc()
-                    response = responder.respond(spec, request, old, new)
-                    if self.proactive:
-                        with self._cache_lock:
-                            self._response_cache[key] = response
-                else:
-                    with registry.timer("appserver.encode_seconds"):
-                        response = stack.server_respond(request, old, new)
-                    if self.proactive:
-                        with self._cache_lock:
-                            self._response_cache[key] = response
-                registry.counter("appserver.parts_encoded").inc()
-                registry.counter("appserver.bytes_out").inc(len(response))
-                responses.append(response)
-        return {
-            "page_id": page_id,
-            "new_version": new_version,
-            "pad_ids": pad_ids,
-            "part_responses": responses,
-        }
-
-    # -- async serving path ------------------------------------------------------
-
     def _stack_spec_for(self, pad_ids: list[str]) -> StackSpec:
-        """The declarative (picklable) spec a kernel-pool worker needs to
-        rebuild this stack — mirrors :meth:`_stack_for`'s lookup rules."""
+        """The declarative (picklable) spec from which a kernel — in a
+        pool worker or inline — rebuilds the negotiated stack."""
         pads = []
         for pid in pad_ids:
             meta = self._pad_meta.get(pid)
@@ -439,24 +368,23 @@ class ApplicationServer:
             pads.append((meta.resolved_id, dict(meta.init_kwargs)))
         return stack_spec(pads)
 
-    async def serve_app_request_async(
+    def _serve_steps(
         self,
         body: dict,
         *,
         shard_key: Optional[str] = None,
         deadline: Optional[Deadline] = None,
-    ) -> dict:
-        """The APP_REQ server half without blocking the event loop.
+    ) -> Steps:
+        """The server half of an APP_REQ: encode every requested part.
 
-        Semantics and counters match :meth:`serve_app_request` exactly —
-        same cache keys, same response bytes — but each encode runs on
-        the kernel pool (``shard_key``, typically the INP session id,
-        pins a session to one worker process; with a chunk store
-        attached, cold-path kernels shard by content digest instead).
-        With no pool attached the kernels run inline on the loop, the
-        documented ``workers=0`` fallback.  Tracer spans are real here:
-        the span stack is a ``contextvars`` context variable, so each
-        interleaved task nests its own tree.
+        Each encode is an effect on the next layer down: the store
+        responder when a chunk store is attached (it wraps only real
+        computes in the encode timer; store hits cost no encode time,
+        and cold-path kernels shard by content digest), else
+        ``stack.respond`` on the kernel pool — the attached one
+        (``shard_key``, typically the INP session id, pins a session to
+        one worker process) or the inline ``workers=0`` fallback, which
+        runs the kernel on the calling thread / event loop.
         """
         registry = self.telemetry.registry
         registry.counter("appserver.requests").inc()
@@ -489,20 +417,19 @@ class ApplicationServer:
                 if cached is not None:
                     registry.counter("appserver.precompute_hits").inc()
                     response = cached
-                elif responder is not None:
-                    registry.counter("appserver.store_requests").inc()
-                    response = await responder.respond_async(
-                        spec, request, old, new
-                    )
-                    if self.proactive:
-                        with self._cache_lock:
-                            self._response_cache[key] = response
                 else:
-                    with registry.timer("appserver.encode_seconds"):
-                        response = await pool.run_async(
-                            "stack.respond", spec, request, old, new,
-                            shard_key=shard_key,
+                    if responder is not None:
+                        registry.counter("appserver.store_requests").inc()
+                        response = yield from layer(
+                            responder, "respond", spec, request, old, new
                         )
+                    else:
+                        with registry.timer("appserver.encode_seconds"):
+                            response = yield from layer(
+                                pool, "run",
+                                "stack.respond", spec, request, old, new,
+                                shard_key=shard_key,
+                            )
                     if self.proactive:
                         with self._cache_lock:
                             self._response_cache[key] = response
@@ -515,6 +442,9 @@ class ApplicationServer:
             "pad_ids": pad_ids,
             "part_responses": responses,
         }
+
+    serve_app_request = blocking(_serve_steps)
+    serve_app_request_async = on_loop(_serve_steps)
 
     # -- INP transport handler ---------------------------------------------------
 
@@ -543,29 +473,8 @@ class ApplicationServer:
             return None, token, deadline
         return None, _NULL_TOKEN, deadline
 
-    def handle(self, request: bytes) -> bytes:
-        try:
-            msg = inp.decode(request)
-        except Exception as exc:
-            err = INPMessage(MsgType.INP_ERROR, "unknown", 0, {"error": str(exc)})
-            return inp.encode(err)
-        if msg.msg_type is not MsgType.APP_REQ:
-            return inp.encode(
-                inp.error_reply(msg, f"appserver cannot handle {msg.msg_type.value}")
-            )
-        rejected, token, deadline = self._admission_gate(msg)
-        if rejected is not None:
-            return rejected
-        try:
-            with token:
-                body = self.serve_app_request(msg.body, deadline=deadline)
-        except (ProtocolMismatchError, NegotiationError, DeadlineExceededError,
-                IndexError, ValueError) as exc:
-            return inp.encode(inp.error_reply(msg, str(exc)))
-        return inp.encode(msg.reply(MsgType.APP_REP, body))
-
-    async def handle_async(self, request: bytes) -> bytes:
-        """INP handler for the asyncio transport (bind directly)."""
+    def _handle_steps(self, request: bytes) -> Steps:
+        """The INP handler: one APP_REQ frame in, one reply frame out."""
         try:
             msg = inp.decode(request)
         except Exception as exc:
@@ -582,13 +491,16 @@ class ApplicationServer:
             # The session id shards this session's kernel work onto one
             # worker process (stable placement, warm stack cache there).
             with token:
-                body = await self.serve_app_request_async(
+                body = yield from self._serve_steps(
                     msg.body, shard_key=msg.session_id, deadline=deadline
                 )
         except (ProtocolMismatchError, NegotiationError, DeadlineExceededError,
-                IndexError, ValueError) as exc:
+                KernelPoolError, IndexError, ValueError) as exc:
             return inp.encode(inp.error_reply(msg, str(exc)))
         return inp.encode(msg.reply(MsgType.APP_REP, body))
+
+    handle = blocking(_handle_steps)
+    handle_async = on_loop(_handle_steps)  # bind directly on an asyncio transport
 
 
 def default_pad_overheads() -> dict[str, PADOverhead]:

@@ -18,6 +18,12 @@ per-PAD ``retrieve → verify → deploy`` children), ``client.encode``,
 ``app_exchange``, ``client.reconstruct`` — and the timing fields of
 :class:`SessionResult` are read straight off those spans, so the bench
 figures and the JSON trace export can never disagree.
+
+Everything that crosses the wire is written as step generators
+(``_rpc_steps``, ``_negotiate_steps``, ``_request_page_steps``; see
+:mod:`repro.drive`): :class:`FractalClient` declares the blocking
+drivers over them, :class:`~repro.core.asyncclient.AsyncFractalClient`
+the asyncio ones.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..drive import Steps, blocking, call
 from ..mobilecode import (
     MobileCodeError,
     ModuleLoader,
@@ -83,8 +90,7 @@ CdnFetch = Callable[[str], bytes]  # object key -> blob
 def check_reply(request: INPMessage, reply: INPMessage) -> INPMessage:
     """INP header integrity (Fig. 4): a reply must stay in our session
     and advance the sequence number.  Error packets from handlers that
-    never saw a valid header are exempt.  Shared by the sync and async
-    clients so both enforce identical wire discipline.
+    never saw a valid header are exempt.
 
     Overload rejections are re-raised as their typed errors here — an
     admission shed becomes :class:`ServerOverloadedError` (retryable,
@@ -241,9 +247,9 @@ class FractalClient:
 
     # -- negotiation --------------------------------------------------------------
 
-    def _rpc(
+    def _rpc_steps(
         self, dst: str, msg: INPMessage, *, deadline: Optional[Deadline] = None
-    ) -> INPMessage:
+    ) -> Steps:
         """One wire exchange, through the overload-control gauntlet.
 
         Order matters: the local deadline check is free and means an
@@ -271,7 +277,9 @@ class FractalClient:
             registry.counter("client.breaker.fast_fail").inc()
             raise breaker.reject()
         try:
-            reply_bytes = self._transport.request(self.name, dst, inp.encode(msg))
+            reply_bytes = yield call(
+                self._transport.request, self.name, dst, inp.encode(msg)
+            )
             reply = check_reply(msg, inp.decode(reply_bytes))
         except (TransportError, ServerOverloadedError) as exc:
             if isinstance(exc, ServerOverloadedError):
@@ -287,18 +295,20 @@ class FractalClient:
             breaker.record_success()
         return reply
 
+    _rpc = blocking(_rpc_steps)
+
     def _count_retry(self, stage: str) -> None:
         registry = self.telemetry.registry
         registry.counter("client.retries").inc()
         registry.counter(f"client.retries.{stage}").inc()
 
-    def negotiate(
+    def _negotiate_steps(
         self,
         app_id: str,
         *,
         force: bool = False,
         deadline: Optional[Deadline] = None,
-    ) -> NegotiationOutcome:
+    ) -> Steps:
         """Protocol-cache-first negotiation with the adaptation proxy.
 
         With a :class:`RetryPolicy`, a failed wire exchange is re-run
@@ -314,10 +324,12 @@ class FractalClient:
                 return NegotiationOutcome(cached, 0.0, from_cache=True)
         registry.counter("client.negotiations").inc()
         if self.retry_policy is None:
-            pads, duration_s = self._negotiate_once(app_id, deadline=deadline)
+            pads, duration_s = yield from self._negotiate_once_steps(
+                app_id, deadline=deadline
+            )
         else:
-            pads, duration_s = self.retry_policy.call(
-                lambda: self._negotiate_once(app_id, deadline=deadline),
+            pads, duration_s = yield from self.retry_policy.steps(
+                lambda: self._negotiate_once_steps(app_id, deadline=deadline),
                 retryable=_RETRYABLE_WIRE,
                 key=f"{self.name}:negotiate:{app_id}",
                 on_retry=lambda *_: self._count_retry("negotiate"),
@@ -325,17 +337,20 @@ class FractalClient:
         self._protocol_cache[key] = pads
         return NegotiationOutcome(pads, duration_s, from_cache=False)
 
-    def _negotiate_once(
+    negotiate = blocking(_negotiate_steps)
+
+    def _negotiate_once_steps(
         self, app_id: str, *, deadline: Optional[Deadline] = None
-    ) -> tuple[tuple[PADMeta, ...], float]:
-        """One full INIT_REQ → PAD_META_REP exchange in its own session."""
+    ) -> Steps:
+        """One full INIT_REQ → PAD_META_REP exchange in its own session;
+        returns ``(pads, seconds)``."""
         session_id = f"{self.name}-{next(_session_counter)}"
         with self.telemetry.tracer.span(
             "negotiate", trace=session_id, client=self.name, app=app_id
         ) as span:
             init = INPMessage(MsgType.INIT_REQ, session_id, 0, {"app_id": app_id})
-            init_rep = self._rpc(
-                self.proxy_endpoint, init, deadline=deadline
+            init_rep = (
+                yield from self._rpc_steps(self.proxy_endpoint, init, deadline=deadline)
             ).expect(MsgType.INIT_REP)
             if "cli_meta_req" not in init_rep.body:
                 raise ProtocolMismatchError("INIT_REP did not carry CLI_META_REQ")
@@ -346,8 +361,10 @@ class FractalClient:
                     "ntwk_meta": self.probe_ntwk_meta().to_wire(),
                 },
             )
-            pad_rep = self._rpc(
-                self.proxy_endpoint, cli_meta, deadline=deadline
+            pad_rep = (
+                yield from self._rpc_steps(
+                    self.proxy_endpoint, cli_meta, deadline=deadline
+                )
             ).expect(MsgType.PAD_META_REP)
             pads_wire = pad_rep.body.get("pads")
             if not isinstance(pads_wire, list) or not pads_wire:
@@ -439,7 +456,7 @@ class FractalClient:
 
     # -- the application session ---------------------------------------------------------
 
-    def request_page(
+    def _request_page_steps(
         self,
         app_id: str,
         page_id: int,
@@ -448,7 +465,7 @@ class FractalClient:
         old_version: int = -1,
         new_version: int = 1,
         force_negotiation: bool = False,
-    ) -> SessionResult:
+    ) -> Steps:
         """Retrieve one page through the negotiated protocol.
 
         ``old_parts`` is what the client already holds (None on first
@@ -464,7 +481,7 @@ class FractalClient:
             "session", trace=trace_id, client=self.name, app=app_id, page=page_id
         ) as session_span:
             try:
-                outcome = self.negotiate(
+                outcome = yield from self._negotiate_steps(
                     app_id, force=force_negotiation, deadline=deadline
                 )
                 key = self._cache_key(app_id)
@@ -478,7 +495,9 @@ class FractalClient:
                     # cached negotiation and retry once against the proxy.
                     self._protocol_cache.pop(key, None)
                     self._stacks.pop(key, None)
-                    outcome = self.negotiate(app_id, force=True, deadline=deadline)
+                    outcome = yield from self._negotiate_steps(
+                        app_id, force=True, deadline=deadline
+                    )
                     stack, pad_bytes, retrieval_s = self._deploy_stack(
                         key, outcome.pads
                     )
@@ -525,14 +544,10 @@ class FractalClient:
             )
             with tracer.span("app_exchange"):
                 if self.retry_policy is None:
-                    rep = self._rpc(
-                        self.appserver_endpoint, req, deadline=deadline
-                    ).expect(MsgType.APP_REP)
+                    rep = yield from self._app_exchange_steps(req, deadline)
                 else:
-                    rep = self.retry_policy.call(
-                        lambda: self._rpc(
-                            self.appserver_endpoint, req, deadline=deadline
-                        ).expect(MsgType.APP_REP),
+                    rep = yield from self.retry_policy.steps(
+                        lambda: self._app_exchange_steps(req, deadline),
                         retryable=(
                             TransportError,
                             ProtocolMismatchError,
@@ -572,6 +587,16 @@ class FractalClient:
             negotiated_from_cache=outcome.from_cache,
             degraded=degraded,
         )
+
+    def _app_exchange_steps(
+        self, req: INPMessage, deadline: Optional[Deadline]
+    ) -> Steps:
+        rep = yield from self._rpc_steps(
+            self.appserver_endpoint, req, deadline=deadline
+        )
+        return rep.expect(MsgType.APP_REP)
+
+    request_page = blocking(_request_page_steps)
 
     def _probe_part_count(self, app_id: str, page_id: int, version: int) -> int:
         """First contact: the client doesn't know the page structure yet.

@@ -31,7 +31,6 @@ pool placement can never change what goes on the wire.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import multiprocessing
 import os
@@ -42,6 +41,8 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from pathlib import Path
 from typing import Any, Optional
+
+from .. import drive
 
 __all__ = [
     "KernelPool",
@@ -293,7 +294,7 @@ class KernelPool:
     serving stack always does), and spawn behaves identically across
     platforms.  Startup cost is paid once, in :meth:`warm`.
 
-    **Supervision** (on by default for sharded pools): a worker that
+    **Supervision** (every sharded pool): a worker that
     dies mid-task (``BrokenProcessPool``) or exceeds ``task_timeout_s``
     gets its shard's executor shut down and replaced, and the task is
     retried once on the fresh worker.  A second failure raises
@@ -304,8 +305,10 @@ class KernelPool:
     only cache affinity, never correctness — kernels are deterministic
     and byte-identical on any worker).  Ordinary kernel exceptions
     propagate untouched: an application error is not a worker failure.
-    ``supervised=False`` restores the raw pre-supervision behaviour
-    (first ``BrokenProcessPool`` propagates, shard stays poisoned).
+
+    :meth:`run` / :meth:`run_async` and :meth:`run_batch` /
+    :meth:`run_batch_async` are the blocking and asyncio drivers
+    (:mod:`repro.drive`) of one step generator each.
     """
 
     def __init__(
@@ -314,7 +317,6 @@ class KernelPool:
         *,
         mp_context: str = "spawn",
         warm: bool = True,
-        supervised: bool = True,
         task_timeout_s: Optional[float] = None,
         max_shard_restarts: int = 3,
         registry=None,
@@ -330,7 +332,6 @@ class KernelPool:
                 f"max_shard_restarts must be >= 0, got {max_shard_restarts}"
             )
         self.workers = workers
-        self.supervised = supervised
         self.task_timeout_s = task_timeout_s
         self.max_shard_restarts = max_shard_restarts
         self._registry = registry
@@ -381,12 +382,6 @@ class KernelPool:
         if key is None:
             return next(self._rr) % len(self._shards)
         return self.shard_index(key)
-
-    def _shard(self, key: Optional[Any]) -> ProcessPoolExecutor:
-        shard = self._shards[self._placement(key)]
-        if shard is None:
-            raise KernelPoolError("shard disabled (restart budget exhausted)")
-        return shard
 
     # -- supervision ------------------------------------------------------------
 
@@ -468,70 +463,36 @@ class KernelPool:
                 self._count("kernelpool.crashes")
                 self._revive(idx, ex, "crash")
 
-    def _finish(self, idx: int, ex, fut, task: str, args: tuple) -> Any:
-        try:
-            return fut.result(self.task_timeout_s)
-        except FuturesTimeout:
-            self._count("kernelpool.timeouts")
-            self._revive(idx, ex, "timeout")
-        except BrokenExecutor:
-            self._count("kernelpool.crashes")
-            self._revive(idx, ex, "crash")
-        idx2, ex2, fut2 = self._submit(task, args, idx)
-        try:
-            return fut2.result(self.task_timeout_s)
-        except FuturesTimeout:
-            self._count("kernelpool.timeouts")
-            self._revive(idx2, ex2, "timeout")
-            raise KernelPoolError(
-                f"kernel {task!r} timed out twice (>{self.task_timeout_s}s); "
-                "giving up"
-            ) from None
-        except BrokenExecutor as exc:
-            self._count("kernelpool.crashes")
-            self._revive(idx2, ex2, "crash")
-            raise KernelPoolError(
-                f"kernel {task!r} crashed two workers in a row; treating it "
-                "as poison (never executed inline in the serving process)"
-            ) from exc
-
-    async def _finish_async(self, idx: int, ex, fut, task: str, args: tuple) -> Any:
-        try:
-            return await asyncio.wait_for(
-                asyncio.wrap_future(fut), self.task_timeout_s
-            )
-        except (FuturesTimeout, asyncio.TimeoutError):
-            self._count("kernelpool.timeouts")
-            self._revive(idx, ex, "timeout")
-        except BrokenExecutor:
-            self._count("kernelpool.crashes")
-            self._revive(idx, ex, "crash")
-        idx2, ex2, fut2 = self._submit(task, args, idx)
-        try:
-            return await asyncio.wait_for(
-                asyncio.wrap_future(fut2), self.task_timeout_s
-            )
-        except (FuturesTimeout, asyncio.TimeoutError):
-            self._count("kernelpool.timeouts")
-            self._revive(idx2, ex2, "timeout")
-            raise KernelPoolError(
-                f"kernel {task!r} timed out twice (>{self.task_timeout_s}s); "
-                "giving up"
-            ) from None
-        except BrokenExecutor as exc:
-            self._count("kernelpool.crashes")
-            self._revive(idx2, ex2, "crash")
-            raise KernelPoolError(
-                f"kernel {task!r} crashed two workers in a row; treating it "
-                "as poison (never executed inline in the serving process)"
-            ) from exc
+    def _finish_steps(self, idx: int, ex, fut, task: str, args: tuple):
+        """Wait for a submitted task; on a dead or hung worker revive
+        the shard and retry once, then give up with a typed error."""
+        for last_try in (False, True):
+            try:
+                return (yield drive.wait_future(fut, self.task_timeout_s))
+            except FuturesTimeout:
+                self._count("kernelpool.timeouts")
+                self._revive(idx, ex, "timeout")
+                if last_try:
+                    raise KernelPoolError(
+                        f"kernel {task!r} timed out twice "
+                        f"(>{self.task_timeout_s}s); giving up"
+                    ) from None
+            except BrokenExecutor as exc:
+                self._count("kernelpool.crashes")
+                self._revive(idx, ex, "crash")
+                if last_try:
+                    raise KernelPoolError(
+                        f"kernel {task!r} crashed two workers in a row; "
+                        "treating it as poison (never executed inline in the "
+                        "serving process)"
+                    ) from exc
+            idx, ex, fut = self._submit(task, args, idx)
 
     def health(self) -> dict:
         """Supervision snapshot: restarts and disabled shards per index."""
         with self._sup_lock:
             return {
                 "workers": self.workers,
-                "supervised": self.supervised,
                 "task_timeout_s": self.task_timeout_s,
                 "restarts": list(self._restarts),
                 "restarts_total": sum(self._restarts),
@@ -542,31 +503,20 @@ class KernelPool:
 
     # -- execution --------------------------------------------------------------
 
-    def run(self, task: str, *args: Any, shard_key: Optional[Any] = None) -> Any:
-        """Execute a kernel synchronously (inline or on its shard)."""
-        if not self._shards:
-            return run_kernel(task, *args)
-        if not self.supervised:
-            return self._shard(shard_key).submit(run_kernel, task, *args).result()
-        idx, ex, fut = self._submit(task, args, self._placement(shard_key))
-        return self._finish(idx, ex, fut, task, args)
+    def _run_steps(self, task: str, *args: Any, shard_key: Optional[Any] = None):
+        """Execute one kernel, inline or on its shard.
 
-    async def run_async(
-        self, task: str, *args: Any, shard_key: Optional[Any] = None
-    ) -> Any:
-        """Execute a kernel without blocking the event loop.
-
-        With ``workers=0`` this runs inline *on the loop* — the
-        documented fallback, correct but serializing — which is exactly
-        what the pool-scaling benchmark uses as its baseline.
+        With ``workers=0`` :meth:`run_async` runs inline *on the loop* —
+        the documented fallback, correct but serializing — which is
+        exactly what the pool-scaling benchmark uses as its baseline.
         """
         if not self._shards:
             return run_kernel(task, *args)
-        if not self.supervised:
-            future = self._shard(shard_key).submit(run_kernel, task, *args)
-            return await asyncio.wrap_future(future)
         idx, ex, fut = self._submit(task, args, self._placement(shard_key))
-        return await self._finish_async(idx, ex, fut, task, args)
+        return (yield from self._finish_steps(idx, ex, fut, task, args))
+
+    run = drive.blocking(_run_steps)
+    run_async = drive.on_loop(_run_steps)
 
     def _batch_groups(
         self, task: str, items: list, shard_keys: Optional[list]
@@ -587,13 +537,13 @@ class KernelPool:
             groups.setdefault(shard, []).append(i)
         return groups
 
-    def run_batch(
+    def _run_batch_steps(
         self,
         task: str,
         items: list,
         *args: Any,
         shard_keys: Optional[list] = None,
-    ) -> list:
+    ):
         """Execute a batch kernel over ``items``, sharded by item.
 
         Inline pools make one batched call (the whole corpus in one
@@ -608,73 +558,23 @@ class KernelPool:
         if not self._shards:
             return run_kernel(task, list(items), *args)
         groups = self._batch_groups(task, items, shard_keys)
-        if not self.supervised:
-            futures = {
-                shard: self._shards[shard].submit(
-                    run_kernel, task, [items[i] for i in idxs], *args
-                )
-                for shard, idxs in groups.items()
-            }
-            out: list = [None] * len(items)
-            for shard, idxs in groups.items():
-                for i, result in zip(idxs, futures[shard].result()):
-                    out[i] = result
-            return out
         submitted = {
             shard: self._submit(
                 task, ([items[i] for i in idxs], *args), shard
             )
             for shard, idxs in groups.items()
         }
-        out = [None] * len(items)
+        out: list = [None] * len(items)
         for shard, idxs in groups.items():
             idx, ex, fut = submitted[shard]
             group_args = ([items[i] for i in idxs], *args)
-            for i, result in zip(idxs, self._finish(idx, ex, fut, task, group_args)):
-                out[i] = result
-        return out
-
-    async def run_batch_async(
-        self,
-        task: str,
-        items: list,
-        *args: Any,
-        shard_keys: Optional[list] = None,
-    ) -> list:
-        """:meth:`run_batch` without blocking the event loop."""
-        if not items:
-            return []
-        if not self._shards:
-            return run_kernel(task, list(items), *args)
-        groups = self._batch_groups(task, items, shard_keys)
-        if not self.supervised:
-            futures = {
-                shard: asyncio.wrap_future(
-                    self._shards[shard].submit(
-                        run_kernel, task, [items[i] for i in idxs], *args
-                    )
-                )
-                for shard, idxs in groups.items()
-            }
-            out: list = [None] * len(items)
-            for shard, idxs in groups.items():
-                for i, result in zip(idxs, await futures[shard]):
-                    out[i] = result
-            return out
-        submitted = {
-            shard: self._submit(
-                task, ([items[i] for i in idxs], *args), shard
-            )
-            for shard, idxs in groups.items()
-        }
-        out = [None] * len(items)
-        for shard, idxs in groups.items():
-            idx, ex, fut = submitted[shard]
-            group_args = ([items[i] for i in idxs], *args)
-            results = await self._finish_async(idx, ex, fut, task, group_args)
+            results = yield from self._finish_steps(idx, ex, fut, task, group_args)
             for i, result in zip(idxs, results):
                 out[i] = result
         return out
+
+    run_batch = drive.blocking(_run_batch_steps)
+    run_batch_async = drive.on_loop(_run_batch_steps)
 
     def close(self) -> None:
         for shard in self._shards:

@@ -23,6 +23,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..drive import Steps, invoked, run
+
 __all__ = ["RetryBudgetExceeded", "RetryPolicy", "DEFAULT_RETRY_POLICY"]
 
 
@@ -75,16 +77,17 @@ class RetryPolicy:
         steady = nominal * (1.0 - self.jitter)
         return steady + nominal * self.jitter * _unit_jitter(key, attempt)
 
-    def call(
+    def steps(
         self,
-        fn: Callable[[], object],
+        attempt_steps: Callable[[], Steps],
         *,
         retryable: tuple[type[BaseException], ...],
         key: str = "",
         sleep: Optional[Callable[[float], None]] = None,
         on_retry: Optional[Callable[[int, float, BaseException], None]] = None,
-    ):
-        """Run ``fn`` until it succeeds, retries exhaust, or budget runs out.
+    ) -> Steps:
+        """Step generator: each attempt runs ``attempt_steps()`` until
+        one succeeds, retries exhaust, or the budget runs out.
 
         ``on_retry(attempt, delay_s, exc)`` fires before each retry —
         the client uses it to bump telemetry counters and poison bad
@@ -102,7 +105,7 @@ class RetryPolicy:
         attempt = 1
         while True:
             try:
-                return fn()
+                return (yield from attempt_steps())
             except retryable as exc:
                 if attempt >= self.max_attempts:
                     raise
@@ -118,6 +121,10 @@ class RetryPolicy:
                 if sleep is not None:
                     sleep(delay)
                 attempt += 1
+
+    def call(self, fn: Callable[[], object], **kwargs):
+        """:meth:`steps` for a plain blocking ``fn`` (same keywords)."""
+        return run(self.steps(lambda: invoked(fn), **kwargs))
 
 
 DEFAULT_RETRY_POLICY = RetryPolicy()

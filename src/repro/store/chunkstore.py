@@ -43,19 +43,21 @@ on the instance for registry-less use): ``lookups``, ``hits``,
 
 Thread safety: one lock guards the LRU map and the in-flight table;
 computes run *outside* the lock, so a slow kernel never blocks hits on
-other keys.  :meth:`get_or_compute_async` shares the same in-flight
-table — sync threads and event-loop tasks coalesce against each other.
+other keys.  The lookup is one step generator; :meth:`get_or_compute`
+and :meth:`get_or_compute_async` are its blocking and asyncio drivers
+(:mod:`repro.drive`) and share the in-flight table — sync threads and
+event-loop tasks coalesce against each other.
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import string
 import threading
 from collections import OrderedDict
-from typing import Awaitable, Callable, Optional
+from typing import Callable, Optional
 
+from ..drive import blocking, invoked, on_loop, wait_event
 from ..telemetry import MetricsRegistry
 
 __all__ = [
@@ -335,48 +337,35 @@ class ChunkStore:
         self._finish(key, flight, value, None)
         return value
 
-    def get_or_compute(self, key: str, compute: Callable[[], bytes]) -> bytes:
+    def _get_or_compute_steps(self, key: str, compute: Callable[[], object]):
         """Return the record for ``key``, computing it at most once.
 
         Concurrent callers on a cold key coalesce: one runs ``compute``
         (outside the store lock), the rest wait and share the result.
         An exception from ``compute`` propagates to every coalesced
         caller and leaves nothing cached.
+
+        ``compute`` is a plain callable for :meth:`get_or_compute`, a
+        coroutine function for :meth:`get_or_compute_async`, or — under
+        either — one returning further steps (:func:`repro.drive.invoked`).
+        Both drivers share the in-flight table: a task coalesces with
+        threads and other tasks alike, waiting on the leader's
+        ``threading.Event`` in the default executor so the loop never
+        blocks.
         """
         value, flight, leader = self._begin(key)
         if value is not None:
             return value
         assert flight is not None
         if not leader:
-            flight.event.wait()
+            yield wait_event(flight.event)
             return self._join(flight)
         try:
-            value = compute()
+            value = yield from invoked(compute)
         except BaseException as exc:
             self._finish(key, flight, None, exc)
             raise
         return self._settle(key, flight, value)
 
-    async def get_or_compute_async(
-        self, key: str, compute: Callable[[], Awaitable[bytes]]
-    ) -> bytes:
-        """Event-loop twin of :meth:`get_or_compute`.
-
-        Shares the same in-flight table: a task coalesces with threads
-        and other tasks alike.  Waiting on the leader's ``threading.Event``
-        happens in the default executor so the loop never blocks.
-        """
-        value, flight, leader = self._begin(key)
-        if value is not None:
-            return value
-        assert flight is not None
-        if not leader:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, flight.event.wait)
-            return self._join(flight)
-        try:
-            value = await compute()
-        except BaseException as exc:
-            self._finish(key, flight, None, exc)
-            raise
-        return self._settle(key, flight, value)
+    get_or_compute = blocking(_get_or_compute_steps)
+    get_or_compute_async = on_loop(_get_or_compute_steps)

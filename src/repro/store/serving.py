@@ -28,6 +28,10 @@ the store first and ships every absent blob to **one** batched
 ``cdc.record_batch`` kernel call — the corpus-granularity scan — while
 publishing results through the same single-flight ``get_or_compute`` so
 the store's exact ledger (``computes == misses``) is unchanged.
+
+Each entry point is one step generator with a blocking and an asyncio
+driver (:mod:`repro.drive`); whichever driver runs, the store and the
+pool are reached through their public names.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from contextlib import nullcontext
 from typing import Optional
 
 from ..core.kernelpool import KernelPool, StackSpec, _stack_for_spec
+from ..drive import blocking, layer, on_loop
 from ..protocols.base import DeltaOp, encode_delta
 from ..telemetry import MetricsRegistry
 from .chunkstore import ChunkStore
@@ -182,55 +187,58 @@ class StoreBackedResponder:
         return int(kv.get("mask_bits", 10)), int(kv.get("window", 48))
 
     def _apply_outer_layers(self, spec: StackSpec, payload: bytes) -> bytes:
-        for layer in spec[1:]:
-            payload = _stack_for_spec((layer,)).server_respond(b"", None, payload)
+        for outer in spec[1:]:
+            payload = _stack_for_spec((outer,)).server_respond(b"", None, payload)
         return payload
 
     # -- chunk records -------------------------------------------------------
 
-    def chunk_record(
-        self, data: bytes, *, mask_bits: int = 10, window: int = 48
-    ) -> list[tuple[int, int, bytes]]:
-        """The cached CDC record for one content blob (computed once)."""
-        digest = _digest_hex(data)
-        key = chunk_record_key(digest, mask_bits, window, _DIGEST_TRUNCATE)
-        blob = self.store.get_or_compute(
-            key,
-            lambda: self.pool.run(
-                "cdc.record", data, mask_bits, window, _DIGEST_TRUNCATE,
-                shard_key=digest,
-            ),
-        )
-        return unpack_chunk_record(blob, _DIGEST_TRUNCATE)
-
-    async def chunk_record_async(
-        self, data: bytes, *, mask_bits: int = 10, window: int = 48
-    ) -> list[tuple[int, int, bytes]]:
-        digest = _digest_hex(data)
-        key = chunk_record_key(digest, mask_bits, window, _DIGEST_TRUNCATE)
-
-        async def compute() -> bytes:
-            return await self.pool.run_async(
+    def _record_steps(
+        self, data: bytes, digest: str, key: str, mask_bits: int, window: int,
+        staged: dict[str, bytes],
+    ):
+        """Get-or-compute one chunk record through the store."""
+        ready = staged.get(key)
+        if ready is not None:  # the batch probe saw a miss and pre-staged it
+            compute = lambda: ready
+        else:
+            # A single-blob lookup, or the probe said present and the
+            # record was evicted since: a real kernel call covers it.
+            compute = lambda: layer(
+                self.pool, "run",
                 "cdc.record", data, mask_bits, window, _DIGEST_TRUNCATE,
                 shard_key=digest,
             )
-
-        blob = await self.store.get_or_compute_async(key, compute)
+        blob = yield from layer(self.store, "get_or_compute", key, compute)
         return unpack_chunk_record(blob, _DIGEST_TRUNCATE)
 
-    def _batch_plan(
-        self, datas: list, mask_bits: int, window: int
-    ) -> tuple[list[tuple[str, str]], list[int], dict[str, bytes]]:
-        """Shared cold-path planning for the batched chunk-record entry.
+    def _chunk_record_steps(
+        self, data: bytes, *, mask_bits: int = 10, window: int = 48
+    ):
+        """The cached CDC record for one content blob (computed once)."""
+        digest = _digest_hex(data)
+        key = chunk_record_key(digest, mask_bits, window, _DIGEST_TRUNCATE)
+        return self._record_steps(data, digest, key, mask_bits, window, {})
 
-        Returns per-item ``(digest, key)`` pairs, the (deduplicated)
-        indices whose records are absent from the store, and an empty
-        per-key result dict the batched kernel call fills in.  The store
-        probe uses ``in`` (no counter side effects): ledger-visible
-        lookups/hits/misses/computes all happen inside the per-key
-        ``get_or_compute`` afterwards, so the exact ``computes ==
-        misses`` reconciliation is preserved — the batch pass only
-        *pre-stages* bytes for keys expected to miss.
+    chunk_record = blocking(_chunk_record_steps)
+    chunk_record_async = on_loop(_chunk_record_steps)
+
+    def _chunk_records_batch_steps(
+        self, datas: list, *, mask_bits: int = 10, window: int = 48
+    ):
+        """Cached CDC records for several blobs, cold ones batched.
+
+        Records absent from the store are computed by **one**
+        ``cdc.record_batch`` kernel call (sharded by content digest, the
+        same placement the per-blob path uses), then published through
+        the normal single-flight ``get_or_compute`` so store ledger
+        counters and concurrent-writer semantics are untouched.
+
+        The store probe uses ``in`` (no counter side effects):
+        ledger-visible lookups/hits/misses/computes all happen inside
+        the per-key ``get_or_compute`` afterwards, so the exact
+        ``computes == misses`` reconciliation is preserved — the batch
+        pass only *pre-stages* bytes for keys expected to miss.
         """
         keyed = [
             (
@@ -245,22 +253,10 @@ class StoreBackedResponder:
             for i, (_, key) in enumerate(keyed)
             if key not in self.store and not (key in seen or seen.add(key))
         ]
-        return keyed, missing, {}
-
-    def chunk_records_batch(
-        self, datas: list, *, mask_bits: int = 10, window: int = 48
-    ) -> list[list[tuple[int, int, bytes]]]:
-        """Cached CDC records for several blobs, cold ones batched.
-
-        Records absent from the store are computed by **one**
-        ``cdc.record_batch`` kernel call (sharded by content digest, the
-        same placement the per-blob path uses), then published through
-        the normal single-flight ``get_or_compute`` so store ledger
-        counters and concurrent-writer semantics are untouched.
-        """
-        keyed, missing, staged = self._batch_plan(datas, mask_bits, window)
+        staged: dict[str, bytes] = {}
         if missing:
-            blobs = self.pool.run_batch(
+            blobs = yield from layer(
+                self.pool, "run_batch",
                 "cdc.record_batch",
                 [datas[i] for i in missing],
                 mask_bits, window, _DIGEST_TRUNCATE,
@@ -269,101 +265,52 @@ class StoreBackedResponder:
             staged.update((keyed[i][1], blob) for i, blob in zip(missing, blobs))
         out = []
         for data, (digest, key) in zip(datas, keyed):
-
-            def compute(d=data, g=digest, k=key) -> bytes:
-                # Staged bytes when the probe saw a miss; a real kernel
-                # call covers the probe-said-present-then-evicted race.
-                blob = staged.get(k)
-                if blob is not None:
-                    return blob
-                return self.pool.run(
-                    "cdc.record", d, mask_bits, window, _DIGEST_TRUNCATE,
-                    shard_key=g,
-                )
-
-            blob = self.store.get_or_compute(key, compute)
-            out.append(unpack_chunk_record(blob, _DIGEST_TRUNCATE))
-        return out
-
-    async def chunk_records_batch_async(
-        self, datas: list, *, mask_bits: int = 10, window: int = 48
-    ) -> list[list[tuple[int, int, bytes]]]:
-        """:meth:`chunk_records_batch` off the event loop."""
-        keyed, missing, staged = self._batch_plan(datas, mask_bits, window)
-        if missing:
-            blobs = await self.pool.run_batch_async(
-                "cdc.record_batch",
-                [datas[i] for i in missing],
-                mask_bits, window, _DIGEST_TRUNCATE,
-                shard_keys=[keyed[i][0] for i in missing],
+            out.append(
+                (yield from self._record_steps(
+                    data, digest, key, mask_bits, window, staged
+                ))
             )
-            staged.update((keyed[i][1], blob) for i, blob in zip(missing, blobs))
-        out = []
-        for data, (digest, key) in zip(datas, keyed):
-
-            async def compute(d=data, g=digest, k=key) -> bytes:
-                blob = staged.get(k)
-                if blob is not None:
-                    return blob
-                return await self.pool.run_async(
-                    "cdc.record", d, mask_bits, window, _DIGEST_TRUNCATE,
-                    shard_key=g,
-                )
-
-            blob = await self.store.get_or_compute_async(key, compute)
-            out.append(unpack_chunk_record(blob, _DIGEST_TRUNCATE))
         return out
+
+    chunk_records_batch = blocking(_chunk_records_batch_steps)
+    chunk_records_batch_async = on_loop(_chunk_records_batch_steps)
 
     # -- responses -----------------------------------------------------------
 
-    def respond(
+    def _respond_steps(
         self, spec: StackSpec, request: bytes, old: Optional[bytes], new: bytes
-    ) -> bytes:
+    ):
         """One part exchange, served from the store when possible."""
         self._count_response()
         key = response_key(spec, request, old, new)
-        return self.store.get_or_compute(
-            key, lambda: self._compute(spec, request, old, new)
+        return (
+            yield from layer(
+                self.store, "get_or_compute", key,
+                lambda: self._compute(spec, request, old, new),
+            )
         )
 
-    async def respond_async(
-        self, spec: StackSpec, request: bytes, old: Optional[bytes], new: bytes
-    ) -> bytes:
-        self._count_response()
-        key = response_key(spec, request, old, new)
-
-        async def compute() -> bytes:
-            vary = self._vary_params(spec)
-            if vary is not None and old is not None:
-                mask_bits, window = vary
-                old_rec, new_rec = await self.chunk_records_batch_async(
-                    [old, new], mask_bits=mask_bits, window=window
-                )
-                with self._timer():
-                    payload = vary_delta_from_records(old, old_rec, new, new_rec)
-                    return self._apply_outer_layers(spec, payload)
-            with self._timer():
-                return await self.pool.run_async(
-                    "stack.respond", spec, request, old, new,
-                    shard_key=_digest_hex(new),
-                )
-
-        return await self.store.get_or_compute_async(key, compute)
+    respond = blocking(_respond_steps)
+    respond_async = on_loop(_respond_steps)
 
     def _compute(
         self, spec: StackSpec, request: bytes, old: Optional[bytes], new: bytes
-    ) -> bytes:
+    ):
+        """Steps of one cold response; run by the store's driver."""
         vary = self._vary_params(spec)
         if vary is not None and old is not None:
             mask_bits, window = vary
-            old_rec, new_rec = self.chunk_records_batch(
+            old_rec, new_rec = yield from self._chunk_records_batch_steps(
                 [old, new], mask_bits=mask_bits, window=window
             )
             with self._timer():
                 payload = vary_delta_from_records(old, old_rec, new, new_rec)
                 return self._apply_outer_layers(spec, payload)
         with self._timer():
-            return self.pool.run(
-                "stack.respond", spec, request, old, new,
-                shard_key=_digest_hex(new),
+            return (
+                yield from layer(
+                    self.pool, "run",
+                    "stack.respond", spec, request, old, new,
+                    shard_key=_digest_hex(new),
+                )
             )

@@ -1,9 +1,12 @@
 """Application server and Fractal client tests (wired via the system builder)."""
 
+import asyncio
+
 import pytest
 
 from repro.core import inp
 from repro.core.errors import NegotiationError
+from repro.core.kernelpool import KernelPoolError
 from repro.core.inp import INPMessage, MsgType
 from repro.core.system import APP_ID, build_case_study
 from repro.workload.profiles import DESKTOP_LAN, LAPTOP_WLAN, PAPER_ENVIRONMENTS
@@ -79,6 +82,37 @@ class TestApplicationServer:
         msg = INPMessage(MsgType.INIT_REQ, "t4", 0, {})
         rep = inp.decode(system.appserver.handle(inp.encode(msg)))
         assert rep.msg_type is MsgType.INP_ERROR
+
+    @pytest.mark.parametrize("on_loop", [False, True], ids=["handle", "handle_async"])
+    def test_poison_kernel_is_a_typed_inp_error(self, small_corpus, on_loop):
+        """A kernel the attached pool gives up on must come back as an
+        INP_ERROR frame, not escape the transport as a raw exception."""
+
+        class PoisonedPool:
+            def run(self, task, *args, shard_key=None):
+                raise KernelPoolError(f"kernel {task!r} crashed two workers in a row")
+
+            async def run_async(self, task, *args, shard_key=None):
+                self.run(task)
+
+        fresh = build_case_study(corpus=small_corpus, calibrate=False)
+        fresh.appserver.kernel_pool = PoisonedPool()
+        body = {
+            "pad_ids": ["gzip"],
+            "page_id": 0,
+            "old_version": -1,
+            "new_version": 0,
+            "part_requests": [b""] * len(page_parts(small_corpus, 0, 0)),
+        }
+        frame = inp.encode(INPMessage(MsgType.APP_REQ, "poison", 0, body))
+        if on_loop:
+            reply = asyncio.run(fresh.appserver.handle_async(frame))
+        else:
+            reply = fresh.transport.request("c", "appserver", frame)
+        rep = inp.decode(reply)
+        assert rep.msg_type is MsgType.INP_ERROR
+        assert rep.session_id == "poison"
+        assert "'stack.respond' crashed two workers" in rep.body["error"]
 
     def test_precompute_then_serve_skips_encoding(self, small_corpus):
         system = build_case_study(corpus=small_corpus, calibrate=False,

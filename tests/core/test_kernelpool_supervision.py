@@ -100,15 +100,10 @@ class TestRestartBudgetAndReroute:
             with pytest.raises(KernelPoolError, match="all kernel-pool shards"):
                 compress(pool)
 
-    def test_unsupervised_pool_keeps_legacy_fail_fast(self):
-        from concurrent.futures import BrokenExecutor
-
-        with KernelPool(workers=1, supervised=False) as pool:
-            with pytest.raises(BrokenExecutor):
-                pool.run("chaos.exit", 3, shard_key="victim")
-            # No revival: the broken shard stays broken.
-            with pytest.raises(BrokenExecutor):
-                compress(pool)
+    def test_supervision_is_not_optional(self):
+        # The unsupervised fail-fast path is gone, and so is its switch.
+        with pytest.raises(TypeError, match="supervised"):
+            KernelPool(supervised=False)
 
 
 class TestHealthSurface:
@@ -116,7 +111,7 @@ class TestHealthSurface:
         with KernelPool(workers=1, task_timeout_s=2.0) as pool:
             health = pool.health()
         assert health["workers"] == 1
-        assert health["supervised"] is True
+        assert "supervised" not in health
         assert health["task_timeout_s"] == 2.0
         assert health["restarts"] == [0]
         assert health["restarts_total"] == 0

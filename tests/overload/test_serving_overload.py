@@ -8,11 +8,13 @@ behaviour and the registry counters, mirroring the ledger discipline of
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 import pytest
 
 from repro.core import inp
+from repro.core.asyncclient import AsyncFractalClient
 from repro.core.errors import (
     DeadlineExceededError,
     ProtocolMismatchError,
@@ -281,3 +283,100 @@ class TestClientBreakerGauntlet:
                 client.negotiate(APP_ID)
         assert board.breaker(PROXY_ENDPOINT).state == "open"
         assert registry.counter("client.overload.rejections").value == 2
+
+
+class _OnLoop:
+    """The in-process transport behind an awaitable ``request``, keeping
+    every frame sent: what an ``AsyncFractalClient`` needs and no more."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sent = []
+
+    async def request(self, src, dst, payload):
+        self.sent.append(payload)
+        return self.inner.request(src, dst, payload)
+
+
+def async_client(system, **knobs):
+    wire = _OnLoop(system.transport)
+    client = system.make_client(
+        DESKTOP_LAN, transport=wire, client_cls=AsyncFractalClient, **knobs
+    )
+    return client, wire
+
+
+class TestAsyncClientGauntlet:
+    """The asyncio client runs the same RPC gauntlet as the blocking one
+    (it is the same steps): one test per counter the old coroutine copy
+    never moved."""
+
+    def test_admission_shed_counts_client_rejections(self):
+        telemetry = Telemetry()
+        registry = telemetry.registry
+        admission = AdmissionController(
+            "proxy-admission", rate_per_s=2.0, burst=2,
+            registry=registry, clock=ManualClock(),
+        )
+        system = small_system(telemetry=telemetry, proxy_admission=admission)
+        client, _ = async_client(system)
+
+        async def main():
+            await client.negotiate(APP_ID)  # consumes both tokens
+            client._protocol_cache.clear()
+            with pytest.raises(ServerOverloadedError):
+                await client.negotiate(APP_ID)
+
+        asyncio.run(main())
+        assert registry.counter("client.overload.rejections").value == 1
+
+    def test_deadline_is_stamped_and_expires_locally(self):
+        system = small_system()
+        registry = system.telemetry.registry
+        client, wire = async_client(system, deadline_s=30.0)
+        result = asyncio.run(client.request_page(APP_ID, 0))
+        expected = system.corpus.evolved(0, 1)
+        assert result.parts == [expected.text, *expected.images]
+        assert wire.sent and all(b'"dl":' in frame for frame in wire.sent)
+
+        clock = ManualClock()
+        deadline = Deadline.after(1.0, clock)
+        clock.advance(2.0)
+        sent_before = len(wire.sent)
+        msg = INPMessage(MsgType.INIT_REQ, "local", 0, {"app_id": APP_ID})
+        with pytest.raises(DeadlineExceededError):
+            asyncio.run(client._rpc(PROXY_ENDPOINT, msg, deadline=deadline))
+        assert len(wire.sent) == sent_before  # never touched the wire
+        assert registry.counter("client.deadline.expired_local").value == 1
+
+    def test_breaker_trips_fast_fails_degrades_and_recloses(self):
+        system = small_system()
+        registry = system.telemetry.registry
+        clock = ManualClock()
+        board = BreakerBoard(
+            failure_threshold=2, recovery_timeout_s=10.0,
+            clock=clock, registry=registry,
+        )
+        client, _ = async_client(
+            system, breaker_board=board, degrade_to_direct=True
+        )
+
+        async def sessions(n):
+            return [await client.request_page(APP_ID, 0) for _ in range(n)]
+
+        system.transport.unbind(PROXY_ENDPOINT)
+        try:
+            outage = asyncio.run(sessions(5))
+        finally:
+            system.transport.bind(PROXY_ENDPOINT, system.proxy.handle)
+        assert all(r.degraded for r in outage)  # every session still served
+        breaker = board.breaker(PROXY_ENDPOINT)
+        assert breaker.state == "open"
+        # Only the first two sessions hit the wire.
+        assert registry.counter("client.breaker.fast_fail").value == 3
+        assert registry.counter("client.degradations").value == 5
+        clock.advance(10.0)
+        (recovered,) = asyncio.run(sessions(1))
+        assert not recovered.degraded
+        assert breaker.state == "closed"
+        assert breaker.snapshot()["reclosed"] == 1
