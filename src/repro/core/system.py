@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
+from weakref import WeakSet
 
 from ..cdn import Deployment, FailoverFetcher, build_deployment, push_all
 from ..mobilecode import Signer, TrustStore, generate_keypair
@@ -88,7 +89,9 @@ class CaseStudySystem:
     overheads: dict[str, PADOverhead]
     telemetry: Telemetry = field(default_factory=Telemetry)
     chunk_store: Optional[ChunkStore] = None
-    clients: list[FractalClient] = field(default_factory=list)
+    # Live clients, for the fault injector's name lookup; held weakly so a
+    # first-contact population does not grow the process.
+    clients: WeakSet[FractalClient] = field(default_factory=WeakSet)
     _client_counter: int = 0
 
     def make_client(
@@ -162,7 +165,7 @@ class CaseStudySystem:
             breaker_board=breaker_board,
             deadline_s=deadline_s,
         )
-        self.clients.append(client)
+        self.clients.add(client)
         return client
 
 

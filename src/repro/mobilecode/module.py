@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = ["MobileCodeError", "MobileCodeModule"]
 
@@ -49,6 +50,13 @@ class MobileCodeModule:
 
     def canonical_bytes(self) -> bytes:
         """Deterministic byte form; the thing digests and signatures cover."""
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> bytes:
+        # Serialised once per (frozen) instance: verify needs it for the
+        # signature and again for the digest.  It lives in the instance
+        # ``__dict__``, which eq/hash/repr and ``replace`` never read.
         payload = {
             "wire_version": WIRE_VERSION,
             "name": self.name,

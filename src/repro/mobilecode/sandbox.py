@@ -16,9 +16,13 @@ say so plainly.
 from __future__ import annotations
 
 import builtins as _builtins
+import threading
+from collections import OrderedDict
+from types import CodeType
 from typing import Any, Mapping, Optional
 
-__all__ = ["SandboxViolation", "Sandbox", "DEFAULT_ALLOWED_IMPORTS"]
+__all__ = ["SandboxViolation", "Sandbox", "DEFAULT_ALLOWED_IMPORTS",
+           "CodeCache", "CODE_CACHE", "CODE_CACHE_ENTRIES"]
 
 
 class SandboxViolation(Exception):
@@ -67,6 +71,78 @@ _SAFE_BUILTIN_NAMES = (
     "__build_class__",  # required for 'class' statements
 )
 
+_DENIED_BUILTIN_NAMES = (
+    "open", "eval", "exec", "compile", "input", "globals", "locals", "vars",
+    "getattr", "setattr", "delattr", "memoryview", "breakpoint", "exit", "quit",
+)
+
+
+def _denied(name: str):
+    def stub(*_a: Any, **_k: Any) -> Any:
+        raise SandboxViolation(f"builtin {name!r} is not available in the sandbox")
+
+    return stub
+
+
+# Built once at import; each execution takes a *copy* (a PAD may rebind
+# entries of its own ``__builtins__``) and sets its sandbox's ``__import__``.
+_BUILTINS_TEMPLATE: dict[str, Any] = {
+    name: getattr(_builtins, name)
+    for name in _SAFE_BUILTIN_NAMES
+    if getattr(_builtins, name, None) is not None
+}
+_BUILTINS_TEMPLATE.update((name, _denied(name)) for name in _DENIED_BUILTIN_NAMES)
+
+# Compiled sources the process keeps; past it a flood of distinct
+# (verified) sources evicts instead of growing.
+CODE_CACHE_ENTRIES = 256
+
+
+class CodeCache:
+    """Bounded LRU of ``compile()`` results, keyed by the exact source text.
+
+    A code object is immutable, so it is the one thing deployments share
+    (a JVM parses a class file once and links it per loader).  The key is
+    the whole ``(source, filename)`` — never a PAD id, a name or a digest
+    somebody *claims* — so a hit returns exactly what compiling this text
+    would, and a ``SyntaxError`` propagates and caches nothing.  Counters
+    as on :class:`repro.cdn.cache.LRUCache`: ``hits + misses`` is the
+    number of :meth:`compile` calls.  Compiling under the one lock parses
+    each distinct source once however many threads race on it.
+    """
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self._lock = threading.Lock()
+        self._items: OrderedDict[tuple[str, str], CodeType] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._items)
+
+    def compile(self, source: str, filename: str) -> CodeType:
+        key = (source, filename)
+        with self._lock:
+            code = self._items.get(key)
+            if code is not None:
+                self._items.move_to_end(key)
+                self.hits += 1
+                return code
+            self.misses += 1
+            code = self._items[key] = compile(source, filename, "exec")
+            if len(self._items) > self.max_entries:
+                self._items.popitem(last=False)
+                self.evictions += 1
+            return code
+
+
+# Reached only from Sandbox.execute, which ModuleLoader.deploy calls
+# strictly after ModuleLoader.verify has passed for that client.
+CODE_CACHE = CodeCache(CODE_CACHE_ENTRIES)
+
 
 class Sandbox:
     """Executes mobile-code source in a restricted namespace."""
@@ -102,33 +178,19 @@ class Sandbox:
         return __import__(name, globals_, locals_, fromlist, level)
 
     def _build_builtins(self) -> dict[str, Any]:
-        safe: dict[str, Any] = {}
-        for name in _SAFE_BUILTIN_NAMES:
-            obj = getattr(_builtins, name, None)
-            if obj is not None:
-                safe[name] = obj
-        safe["__import__"] = self._guarded_import
-
-        def _denied(name: str):
-            def stub(*_a: Any, **_k: Any) -> Any:
-                raise SandboxViolation(f"builtin {name!r} is not available in the sandbox")
-
-            return stub
-
-        for dangerous in ("open", "eval", "exec", "compile", "input",
-                          "globals", "locals", "vars", "getattr", "setattr",
-                          "delattr", "memoryview", "breakpoint", "exit", "quit"):
-            safe[dangerous] = _denied(dangerous)
-        return safe
+        return {**_BUILTINS_TEMPLATE, "__import__": self._guarded_import}
 
     def execute(self, source: str, module_name: str = "<mobile-code>") -> dict[str, Any]:
         """Exec ``source`` in a fresh restricted namespace; return it.
+
+        Only the code object comes from the process-wide :data:`CODE_CACHE`;
+        the namespace, its ``__builtins__`` and import guard are this call's.
 
         Any exception from the module body is re-raised wrapped in
         :class:`SandboxViolation` only if it *was* a violation; genuine
         bugs propagate as themselves so callers can distinguish.
         """
-        code = compile(source, module_name, "exec")
+        code = CODE_CACHE.compile(source, module_name)
         namespace: dict[str, Any] = {
             "__builtins__": self._build_builtins(),
             "__name__": module_name,

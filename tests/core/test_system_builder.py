@@ -46,6 +46,29 @@ class TestBuildOptions:
         c2 = system.make_client(DESKTOP_LAN)
         assert c1.name != c2.name
 
+    def test_dropped_clients_are_not_pinned(self, small_corpus):
+        import gc
+
+        system = build_case_study(corpus=small_corpus, calibrate=False)
+        kept = system.make_client(DESKTOP_LAN, name="kept")
+        for _ in range(2000):
+            system.make_client(DESKTOP_LAN)
+        gc.collect()
+        assert len(system.clients) <= 2
+        assert kept in system.clients
+
+    def test_live_clients_stay_visible_to_the_fault_injector(self, small_corpus):
+        from repro.faults.injector import _case_study_link_of
+
+        system = build_case_study(corpus=small_corpus, calibrate=False)
+        held = [system.make_client(DESKTOP_LAN) for _ in range(3)]
+        assert {c.name for c in system.clients} == {c.name for c in held}
+        link_of = _case_study_link_of(system)
+        assert link_of(held[1].name, "proxy") == DESKTOP_LAN.link.network_type.value
+        system.clients.clear()
+        assert len(system.clients) == 0
+        assert link_of(held[1].name, "proxy") == "proxy"
+
     def test_default_overheads_cover_all_default_pads(self):
         from repro.core.appserver import default_pad_overheads
 

@@ -78,6 +78,63 @@ class TestMobileCodeModule:
             MobileCodeModule.from_canonical_bytes(json.dumps(payload).encode())
 
 
+class TestCanonicalMemo:
+    """canonical_bytes() is serialised once per frozen instance; it cannot go stale."""
+
+    def test_serialised_once_per_instance(self, module, monkeypatch):
+        import json
+
+        calls = []
+        real = json.dumps
+        monkeypatch.setattr(
+            "repro.mobilecode.module.json.dumps",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
+        first = module.canonical_bytes()
+        assert module.canonical_bytes() is first
+        module.digest(), module.size, module.verify_digest(module.digest())
+        assert len(calls) == 1
+
+    def test_frozen_vector(self, module):
+        # Recorded before the memo existed: the bytes it returns did not move.
+        assert module.digest() == "a072274e2f4767cc3744d452fd6b35f1842aff6c"
+        assert module.size == 186
+
+    def test_replace_starts_without_the_memo(self, module):
+        from dataclasses import replace
+
+        before = module.digest()
+        changed = replace(module, source=module.source + "#")
+        assert "_canonical" not in vars(changed)
+        assert changed.digest() != before
+        assert replace(changed, source=module.source).digest() == before
+        assert module.digest() == before
+
+    def test_roundtrip_digest(self, module):
+        restored = MobileCodeModule.from_canonical_bytes(module.canonical_bytes())
+        assert restored.digest() == module.digest()
+
+    def test_memo_invisible_to_eq_and_repr(self, module):
+        from dataclasses import fields, replace
+
+        fresh = replace(module)
+        shown = repr(fresh)
+        module.canonical_bytes()
+        assert "_canonical" in vars(module) and "_canonical" not in vars(fresh)
+        assert module == fresh
+        assert repr(module) == shown
+        assert "_canonical" not in {f.name for f in fields(module)}
+
+    def test_memo_invisible_to_hash(self):
+        # (The fixture's metadata dict makes it unhashable, memo or not.)
+        plain = MobileCodeModule(
+            name="m", version="1", source="x = 1\n", entry_point="E", metadata=None
+        )
+        before = hash(plain)
+        plain.canonical_bytes()
+        assert hash(plain) == before
+
+
 class TestSigning:
     def test_sign_verify_roundtrip(self, keypair, module):
         signer = Signer("origin", keypair)
