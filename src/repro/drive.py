@@ -16,9 +16,6 @@ Public entry points elsewhere are declared from their steps, one line
 each — ``respond = blocking(_respond_steps)`` next to ``respond_async =
 on_loop(_respond_steps)`` — so a pair cannot drift apart; a third
 driver (simulated time) needs no change to any step generator.
-
-The socket transports are *not* written this way: ``realnet`` and
-``asyncnet`` are the IO the effects bottom out in.
 """
 
 from __future__ import annotations

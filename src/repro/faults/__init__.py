@@ -30,6 +30,7 @@ from .plan import (
     FaultRule,
 )
 from .injector import (
+    AsyncFaultingTransport,
     FaultInjector,
     FaultingChannel,
     FaultingEdge,
@@ -53,5 +54,6 @@ __all__ = [
     "FaultingChannel",
     "FaultingEdge",
     "FaultingTransport",
+    "AsyncFaultingTransport",
     "InjectedFault",
 ]

@@ -18,6 +18,7 @@ import json
 import random
 from typing import Callable, Optional
 
+from ..drive import Steps, blocking, call, on_loop
 from ..simnet.transport import TransportError
 from ..telemetry import DEFAULT_TIME_BUCKETS_S, MetricsRegistry
 from .plan import (
@@ -37,6 +38,7 @@ __all__ = [
     "InjectedFault",
     "FaultInjector",
     "FaultingTransport",
+    "AsyncFaultingTransport",
     "FaultingEdge",
     "FaultingChannel",
 ]
@@ -220,10 +222,10 @@ class FaultingTransport:
         self._proxy = proxy
         self._proxy_endpoint = proxy_endpoint
 
-    def request(self, src: str, dst: str, payload: bytes) -> bytes:
+    def _request_steps(self, src: str, dst: str, payload: bytes) -> Steps:
         injector = self._injector
         if not injector.enabled:
-            return self.inner.request(src, dst, payload)
+            return (yield call(self.inner.request, src, dst, payload))
         if self._proxy is not None and dst == self._proxy_endpoint:
             if injector.fire(PROXY_RESTART, dst) is not None:
                 # The restart lands *before* this request is served: any
@@ -235,13 +237,23 @@ class FaultingTransport:
                 f"injected frame loss on link {link!r} ({src} -> {dst})"
             )
         corrupting = injector.fire(FRAME_CORRUPT, link) is not None
-        response = self.inner.request(src, dst, payload)
+        response = yield call(self.inner.request, src, dst, payload)
         if corrupting:
             response = injector.corrupt(response)
         return response
 
+    request = blocking(_request_steps)
+
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
+
+
+class AsyncFaultingTransport(FaultingTransport):
+    """:class:`FaultingTransport` over an asyncio transport: the same
+    rules fire at the same points, and the reply is awaited before a
+    corruption rule touches it."""
+
+    request = on_loop(FaultingTransport._request_steps)
 
 
 class FaultingEdge:

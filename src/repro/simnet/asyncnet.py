@@ -1,323 +1,119 @@
-"""Asyncio-native TCP transport — the event-loop sibling of ``realnet``.
+"""Asyncio-native TCP transport — the event-loop adapter of ``tcp``.
 
-Wire format is **identical** to :mod:`repro.simnet.realnet`: frames are
-``[4-byte big-endian length][payload]`` and responses carry a 1-byte
-status prefix (``0x01`` ok, ``0x00`` error).  A client built on one
-transport can talk to an endpoint served by the other — the test suite
-proves it by crossing a blocking-socket client with an asyncio server.
-
-What changes is the serving model:
-
-* One asyncio event loop owns every endpoint and every client
-  connection.  There is no thread per connection, so tens of thousands
-  of concurrent sessions fit in one process.
-* Client connections are **persistent per (src, dst) peer**: the first
-  request opens a connection, later requests reuse it.  (``realnet``
-  opens a connection per request.)  One request is in flight per peer
-  connection at a time — the endpoint serves frames sequentially per
-  connection — and concurrency comes from many peers, which matches the
-  many-clients serving model.  A connection the server idle-closed is
-  transparently reopened and the request retried once.
-* Handlers may be plain callables (run inline on the loop) or return an
-  awaitable (awaited), which is how the application server offloads
-  CPU-bound kernel work to a process pool without blocking the loop.
-
-Byte accounting matches the ``realnet`` convention: both sides count
-on-wire frame sizes (4-byte header + payload, responses including the
-status byte), recorded only after the frame was actually sent or fully
-received, so client meters and endpoint meters reconcile exactly.
+Protocol, wire format and guarantees are :mod:`repro.simnet.tcp`'s, so
+they are ``realnet``'s byte for byte: a client built on one transport
+can talk to an endpoint served by the other (the test suite crosses a
+blocking-socket client with an asyncio server).  What changes is the
+serving model: one event loop owns every endpoint and every client
+connection, with no thread per connection, so tens of thousands of
+concurrent sessions fit in one process.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import inspect
-from typing import Awaitable, Callable, Optional, Union
+from typing import Optional
 
-from .realnet import _LEN, MAX_FRAME
-from .transport import TrafficMeter, TransportError
+from ..drive import on_loop, run_async
+from .tcp import Endpoint, StreamTimeout, TcpTransportCore
+from .transport import TransportError
 
-__all__ = [
-    "AsyncTcpEndpoint",
-    "AsyncTcpTransport",
-    "send_frame_async",
-    "recv_frame_async",
-]
-
-AsyncHandler = Callable[[bytes], Union[bytes, Awaitable[bytes]]]
+__all__ = ["AsyncTcpEndpoint", "AsyncTcpTransport"]
 
 
-async def send_frame_async(writer: asyncio.StreamWriter, payload: bytes) -> None:
-    if len(payload) > MAX_FRAME:
-        raise TransportError(f"frame too large: {len(payload)} bytes")
-    writer.write(_LEN.pack(len(payload)) + payload)
-    await writer.drain()
+class _LoopStream:
+    """An asyncio reader/writer pair as a ``tcp`` stream.
 
-
-async def recv_frame_async(reader: asyncio.StreamReader) -> bytes:
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        raise TransportError("connection closed mid-frame") from exc
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise TransportError(f"incoming frame too large: {length} bytes")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise TransportError("connection closed mid-frame") from exc
-
-
-class AsyncTcpEndpoint:
-    """A request/response server on 127.0.0.1 with an ephemeral port.
-
-    ``idle_timeout_s`` bounds how long the per-connection task waits for
-    the next frame before hanging up.  ``connections_served`` counts
-    accepted connections — the persistent-connection tests read it to
-    prove reuse actually happens.
+    The timeout is a watchdog, not a ``wait_for`` around each read:
+    ``wait_for`` costs a task per call before Python 3.12 (a tenth of a
+    whole stored-page session, measured), while one ``call_later`` that
+    aborts the connection — a timed-out connection is dropped anyway —
+    costs nothing measurable.
     """
-
-    def __init__(
-        self,
-        name: str,
-        handler: AsyncHandler,
-        *,
-        idle_timeout_s: float = 5.0,
-    ):
-        if idle_timeout_s <= 0:
-            raise ValueError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
-        self.name = name
-        self.handler = handler
-        self.idle_timeout_s = idle_timeout_s
-        self.meter = TrafficMeter()
-        self.connections_served = 0
-        self.address: Optional[tuple[str, int]] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: set[asyncio.StreamWriter] = set()
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_conn, "127.0.0.1", 0
-        )
-        self.address = self._server.sockets[0].getsockname()
-
-    async def _serve_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_served += 1
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        recv_frame_async(reader), self.idle_timeout_s
-                    )
-                except (
-                    TransportError,
-                    asyncio.TimeoutError,
-                    ConnectionError,
-                    OSError,
-                ):
-                    return
-                self.meter.record_receive(_LEN.size + len(request))
-                try:
-                    result = self.handler(request)
-                    if inspect.isawaitable(result):
-                        result = await result
-                    response = b"\x01" + result
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - report to caller
-                    response = b"\x00ERR " + str(exc).encode("utf-8", "replace")
-                try:
-                    await send_frame_async(writer, response)
-                except (ConnectionError, OSError):
-                    return
-                self.meter.record_send(_LEN.size + len(response))
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._writers):
-            writer.close()
-        # Let per-connection tasks observe their closed sockets and exit.
-        await asyncio.sleep(0)
-
-
-class _PeerConn:
-    """One persistent client connection; at most one request in flight."""
-
-    __slots__ = ("reader", "writer", "requests_done")
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
-        self.requests_done = 0
+        self._reader, self._writer = reader, writer
+        self._watchdog: Optional[asyncio.TimerHandle] = None
+        self._expired = False
+
+    def set_timeout(self, seconds: Optional[float]) -> None:
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+            self._watchdog = None
+        if seconds is not None:
+            loop = asyncio.get_running_loop()
+            self._watchdog = loop.call_later(seconds, self._expire)
+
+    def _expire(self) -> None:
+        self._expired = True
+        self._writer.transport.abort()  # wakes the pending read or drain
+
+    def _failure(self, exc: Exception) -> TransportError:
+        if self._expired:
+            return StreamTimeout("timed out")
+        return TransportError(str(exc) or "connection closed mid-frame")
+
+    async def read_exactly(self, n: int) -> bytes:
+        try:
+            return await self._reader.readexactly(n)
+        except (asyncio.IncompleteReadError, OSError) as exc:
+            raise self._failure(exc) from exc
+
+    async def write(self, data: bytes) -> None:
+        try:
+            self._writer.write(data)
+            await self._writer.drain()
+        except OSError as exc:
+            raise self._failure(exc) from exc
+        if self._expired:  # an aborted drain() returns as if it had finished
+            raise StreamTimeout("timed out")
 
     def close(self) -> None:
-        with contextlib.suppress(ConnectionError, OSError):
-            self.writer.close()
+        self.set_timeout(None)
+        self._writer.close()
 
 
-class AsyncTcpTransport:
-    """Asyncio transport facade mirroring :class:`realnet.TcpTransport`.
+class AsyncTcpEndpoint(Endpoint):
+    """An :class:`~repro.simnet.tcp.Endpoint` on 127.0.0.1 with an
+    ephemeral port, serving between ``start()`` and ``close()``."""
 
-    ``bind``/``unbind``/``request``/``close`` are coroutines; everything
-    runs on the calling task's event loop.  ``idle_timeout_s`` defaults
-    to ``request_timeout_s``, exactly like the (fixed) sync transport.
-    """
+    async def start(self) -> None:
+        self._server = await asyncio.start_server(self._accepted, "127.0.0.1", 0)
+        self.address: tuple[str, int] = self._server.sockets[0].getsockname()
 
-    def __init__(
-        self,
-        *,
-        connect_timeout_s: float = 5.0,
-        request_timeout_s: float = 5.0,
-        idle_timeout_s: Optional[float] = None,
-    ) -> None:
-        if connect_timeout_s <= 0 or request_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
-        if idle_timeout_s is not None and idle_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
-        self.connect_timeout_s = connect_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self.idle_timeout_s = (
-            idle_timeout_s if idle_timeout_s is not None else request_timeout_s
-        )
-        self._endpoints: dict[str, AsyncTcpEndpoint] = {}
-        self.meters: dict[str, TrafficMeter] = {}
-        self._conns: dict[tuple[str, str], _PeerConn] = {}
-        self._peer_locks: dict[tuple[str, str], asyncio.Lock] = {}
+    async def _accepted(self, reader, writer) -> None:
+        # Admission is the task's first act, before anything it awaits.
+        stream = _LoopStream(reader, writer)
+        await run_async(self.accepted_steps(stream, self.admit(stream)))
 
-    # -- server side -----------------------------------------------------------
+    async def close(self) -> None:
+        self._server.close()
+        # Wait the hung-up connections out, as 3.12's wait_closed() does:
+        # else the closing loop cancels their tasks, one traceback each.
+        gone = [stream._writer.wait_closed() for stream in self.hang_up()]
+        await asyncio.gather(self._server.wait_closed(), *gone, return_exceptions=True)
 
-    async def bind(self, endpoint: str, handler: AsyncHandler) -> None:
-        if endpoint in self._endpoints:
-            raise TransportError(f"endpoint already bound: {endpoint!r}")
-        ep = AsyncTcpEndpoint(endpoint, handler, idle_timeout_s=self.idle_timeout_s)
-        await ep.start()
-        self._endpoints[endpoint] = ep
-        self.meters.setdefault(endpoint, TrafficMeter())
 
-    async def unbind(self, endpoint: str) -> None:
-        ep = self._endpoints.pop(endpoint, None)
-        if ep is not None:
-            await ep.close()
+class AsyncTcpTransport(TcpTransportCore):
+    """:class:`~repro.simnet.tcp.TcpTransportCore` on one event loop:
+    ``bind``/``unbind``/``request``/``close`` are coroutines and
+    everything runs on the calling task's loop."""
 
-    def endpoints(self) -> list[str]:
-        return sorted(self._endpoints)
+    _endpoint_cls = AsyncTcpEndpoint
 
-    def meter(self, endpoint: str) -> TrafficMeter:
-        return self.meters.setdefault(endpoint, TrafficMeter())
-
-    def endpoint_meter(self, endpoint: str) -> TrafficMeter:
-        """The server-side meter of a bound endpoint (ledger symmetry)."""
-        ep = self._endpoints.get(endpoint)
-        if ep is None:
-            raise TransportError(f"no handler bound for endpoint {endpoint!r}")
-        return ep.meter
-
-    # -- client side -----------------------------------------------------------
-
-    async def _connect(self, dst: str, address: tuple[str, int]) -> _PeerConn:
+    async def _connect(self, address: tuple[str, int]) -> _LoopStream:
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(*address), self.connect_timeout_s
             )
-        except (asyncio.TimeoutError, ConnectionError, OSError) as exc:
-            raise TransportError(
-                f"connection to endpoint {dst!r} at {address} failed: {exc}"
-            ) from exc
-        return _PeerConn(reader, writer)
+        except (asyncio.TimeoutError, OSError) as exc:
+            raise TransportError(str(exc) or type(exc).__name__) from exc
+        return _LoopStream(reader, writer)
 
-    @staticmethod
-    async def _exchange(conn: _PeerConn, payload: bytes) -> bytes:
-        await send_frame_async(conn.writer, payload)
-        framed = await recv_frame_async(conn.reader)
-        conn.requests_done += 1
-        return framed
-
-    async def request(self, src: str, dst: str, payload: bytes) -> bytes:
-        ep = self._endpoints.get(dst)
-        if ep is None:
-            raise TransportError(f"no handler bound for endpoint {dst!r}")
-        key = (src, dst)
-        lock = self._peer_locks.setdefault(key, asyncio.Lock())
-        async with lock:
-            conn = self._conns.get(key)
-            fresh = conn is None
-            if conn is None:
-                conn = await self._connect(dst, ep.address)
-                self._conns[key] = conn
-            try:
-                framed = await asyncio.wait_for(
-                    self._exchange(conn, payload), self.request_timeout_s
-                )
-            except asyncio.TimeoutError as exc:
-                self._drop(key, conn)
-                raise TransportError(
-                    f"timed out talking to endpoint {dst!r} at {ep.address}: {exc}"
-                ) from exc
-            except (TransportError, ConnectionError, OSError) as exc:
-                self._drop(key, conn)
-                if fresh:
-                    raise TransportError(
-                        f"exchange with endpoint {dst!r} at {ep.address} "
-                        f"failed: {exc}"
-                    ) from exc
-                # A reused connection may have been idle-closed by the
-                # server since our last request (it read nothing of this
-                # frame, so no double count) — retry once on a fresh one.
-                conn = await self._connect(dst, ep.address)
-                self._conns[key] = conn
-                try:
-                    framed = await asyncio.wait_for(
-                        self._exchange(conn, payload), self.request_timeout_s
-                    )
-                except (
-                    asyncio.TimeoutError,
-                    TransportError,
-                    ConnectionError,
-                    OSError,
-                ) as retry_exc:
-                    self._drop(key, conn)
-                    raise TransportError(
-                        f"exchange with endpoint {dst!r} at {ep.address} "
-                        f"failed after reconnect: {retry_exc}"
-                    ) from retry_exc
-        # Meter only completed exchanges, on-wire frame sizes both ways —
-        # the same convention as realnet, so client/endpoint meters and
-        # the load-harness ledger reconcile exactly.
-        meter = self.meter(src)
-        meter.record_send(_LEN.size + len(payload))
-        meter.record_receive(_LEN.size + len(framed))
-        if not framed:
-            raise TransportError("empty response frame")
-        status, body = framed[0], framed[1:]
-        if status != 1:
-            raise TransportError(body.decode("utf-8", "replace"))
-        return body
-
-    def _drop(self, key: tuple[str, str], conn: _PeerConn) -> None:
-        if self._conns.get(key) is conn:
-            del self._conns[key]
-        conn.close()
-
-    async def close(self) -> None:
-        for conn in list(self._conns.values()):
-            conn.close()
-        self._conns.clear()
-        for ep in list(self._endpoints.values()):
-            await ep.close()
-        self._endpoints.clear()
+    bind = on_loop(TcpTransportCore._bind_steps)
+    unbind = on_loop(TcpTransportCore._unbind_steps)
+    request = on_loop(TcpTransportCore._request_steps)
+    close = on_loop(TcpTransportCore._close_steps)
 
     async def __aenter__(self) -> "AsyncTcpTransport":
         return self

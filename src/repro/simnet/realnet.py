@@ -1,102 +1,104 @@
-"""Real TCP loopback transport.
+"""Real TCP loopback transport — the blocking-socket adapter of ``tcp``.
 
 The negotiation protocol is byte-framed, so running it over actual sockets
 costs nothing extra and proves the codec survives a real network stack.
-Frames are ``[4-byte big-endian length][payload]``.  One server thread per
-endpoint; requests are served sequentially per connection, which is all the
-integration tests need.
-
-Byte accounting convention (ledger truth): every meter on this transport
-counts **on-wire frame sizes** — the 4-byte length header plus the payload
-(for responses the payload includes the 1-byte status prefix) — and records
-a frame only *after* it was successfully sent or fully received.  A refused
-or timed-out connection therefore counts nothing, and the client-side
-meters reconcile exactly against the endpoint-side meters: client
-``bytes_sent`` == endpoint ``bytes_received`` and vice versa.  The load
-harness asserts this symmetry in its ledger.
-
-This module deliberately has no dependency on the rest of the package: it
-moves bytes, nothing more.
+The protocol is :mod:`repro.simnet.tcp`'s; this module is what is
+particular to blocking sockets: the stream, the connect (both ends with
+a pinned receive buffer), and an accept loop with one server thread per
+endpoint and one worker thread per open connection.
 """
 
 from __future__ import annotations
 
 import socket
-import struct
 import threading
 import time
-from typing import Callable, Optional
+from typing import Optional
 
-from .transport import TrafficMeter, TransportError
+from ..drive import blocking, run
+from .tcp import (
+    Endpoint,
+    StreamTimeout,
+    TcpTransportCore,
+    recv_frame_steps,
+    send_frame_steps,
+)
+from .transport import TransportError
 
 __all__ = ["TcpEndpoint", "TcpTransport", "send_frame", "recv_frame"]
 
-_LEN = struct.Struct(">I")
-MAX_FRAME = 64 * 1024 * 1024  # sanity bound; PADs and pages are far smaller
+_RCVBUF = 64 * 1024  # one loopback segment: what a new connection starts with
+
+
+def _failure(exc: OSError) -> TransportError:
+    kind = StreamTimeout if isinstance(exc, socket.timeout) else TransportError
+    return kind(str(exc) or type(exc).__name__)
+
+
+class _SocketStream:
+    """A connected blocking socket as a ``tcp`` stream."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def set_timeout(self, seconds: Optional[float]) -> None:
+        # A socket timeout runs only inside a socket call, so with no IO
+        # pending (``None``) there is nothing to stop.
+        try:
+            if seconds is not None:
+                self._sock.settimeout(seconds)
+        except OSError as exc:  # hung up meanwhile, from another thread
+            raise _failure(exc) from exc
+
+    def read_exactly(self, n: int) -> bytes:
+        chunks = []
+        try:
+            while n:
+                chunk = self._sock.recv(n)
+                if not chunk:
+                    raise TransportError("connection closed mid-frame")
+                chunks.append(chunk)
+                n -= len(chunk)
+        except OSError as exc:
+            raise _failure(exc) from exc
+        return b"".join(chunks)
+
+    def write(self, data: bytes) -> None:
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            raise _failure(exc) from exc
+
+    def close(self) -> None:
+        try:  # close() alone does not wake a thread blocked reading
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # the peer hung up first
+        self._sock.close()
 
 
 def send_frame(sock: socket.socket, payload: bytes) -> None:
-    if len(payload) > MAX_FRAME:
-        raise TransportError(f"frame too large: {len(payload)} bytes")
-    sock.sendall(_LEN.pack(len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    run(send_frame_steps(_SocketStream(sock), payload))
 
 
 def recv_frame(sock: socket.socket) -> bytes:
-    header = _recv_exact(sock, _LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise TransportError(f"incoming frame too large: {length} bytes")
-    return _recv_exact(sock, length)
+    return run(recv_frame_steps(_SocketStream(sock)))
 
 
-class TcpEndpoint:
-    """A request/response server on 127.0.0.1 with an ephemeral port.
+class TcpEndpoint(Endpoint):
+    """An :class:`~repro.simnet.tcp.Endpoint` on 127.0.0.1 with an
+    ephemeral port, serving between ``start()`` and ``close()``."""
 
-    ``idle_timeout_s`` bounds how long a worker blocks reading the next
-    frame from a connected client before giving up on the connection.
-
-    ``max_conns`` caps concurrent connection workers.  A connection
-    accepted past the cap is *shed*, not silently dropped: the endpoint
-    reads its first request frame (short timeout), replies with a framed
-    ``overloaded: connection limit reached`` error, and closes — so the
-    client sees a typed rejection instead of a hang, and the byte meters
-    stay symmetric (both the request and the rejection frame are
-    recorded).  ``conns_shed`` ledgers every shed connection.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        handler: Callable[[bytes], bytes],
-        *,
-        idle_timeout_s: float = 5.0,
-        max_conns: Optional[int] = None,
-    ):
-        if idle_timeout_s <= 0:
-            raise ValueError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
-        if max_conns is not None and max_conns < 1:
-            raise ValueError(f"max_conns must be >= 1, got {max_conns}")
-        self.name = name
-        self.handler = handler
-        self.idle_timeout_s = idle_timeout_s
-        self.max_conns = max_conns
-        self.conns_shed = 0
-        self.meter = TrafficMeter()
+    def start(self) -> None:
         self._workers: list[threading.Thread] = []
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        # Pinned, so not autotuned, and inherited by accepted connections.
+        # An autotuned window lets a frame of several segments leave as one
+        # burst that races the reader thread's wake-up; who wins is settled
+        # per process, and whole runs differed by 10 %.  One segment per
+        # window: the reader pulls the rest by acknowledging (DESIGN §11).
+        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _RCVBUF)
         self._server.bind(("127.0.0.1", 0))
         self._server.listen(16)
         # Set the accept timeout before the thread starts so close() can
@@ -105,7 +107,7 @@ class TcpEndpoint:
         self.address: tuple[str, int] = self._server.getsockname()
         self._stop = threading.Event()
         self._thread = threading.Thread(
-            target=self._serve, name=f"tcp-endpoint-{name}", daemon=True
+            target=self._serve, name=f"tcp-endpoint-{self.name}", daemon=True
         )
         self._thread.start()
 
@@ -122,18 +124,19 @@ class TcpEndpoint:
                 continue
             except OSError:
                 break
-            if (
-                self.max_conns is not None
-                and len(self._workers) >= self.max_conns
-            ):
-                self.conns_shed += 1
-                self._shed_conn(conn)
-                continue
-            worker = threading.Thread(
-                target=self._serve_conn, args=(conn,), daemon=True
-            )
-            worker.start()
-            self._workers.append(worker)
+            stream = _SocketStream(conn)
+            admitted = self.admit(stream)
+            steps = self.accepted_steps(stream, admitted)
+            if admitted:
+                worker = threading.Thread(target=run, args=(steps,), daemon=True)
+                worker.start()
+                self._workers.append(worker)
+            else:
+                # Shed inline: a thread per rejection would be the very
+                # growth the cap exists to stop.  The shed read timeout
+                # is short, so a client that connected but sends nothing
+                # (slowloris) stalls accepts only briefly.
+                run(steps)
         # Bounded shutdown: only still-live workers remain, and the total
         # join budget is capped rather than 1s per thread.
         deadline = time.monotonic() + 1.0
@@ -146,174 +149,33 @@ class TcpEndpoint:
         """Connection-worker threads not yet reaped (bounded under load)."""
         return len(self._workers)
 
-    def _shed_conn(self, conn: socket.socket) -> None:
-        """Reject one over-cap connection with a framed overload error.
-
-        Runs inline in the accept loop, so the read timeout is short: a
-        client that connected but sends nothing (slowloris) may stall
-        accepts only briefly, and a well-formed client gets a typed
-        error it can map to backoff.  Meter symmetry is preserved — the
-        request frame is recorded received and the rejection recorded
-        sent, exactly like a served exchange.
-        """
-        with conn:
-            conn.settimeout(min(self.idle_timeout_s, 0.5))
-            try:
-                request = recv_frame(conn)
-            except (TransportError, socket.timeout, OSError):
-                return
-            self.meter.record_receive(_LEN.size + len(request))
-            response = b"\x00ERR overloaded: connection limit reached"
-            try:
-                send_frame(conn, response)
-            except OSError:
-                return
-            self.meter.record_send(_LEN.size + len(response))
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        with conn:
-            conn.settimeout(self.idle_timeout_s)
-            while not self._stop.is_set():
-                try:
-                    request = recv_frame(conn)
-                except (TransportError, socket.timeout, OSError):
-                    return
-                self.meter.record_receive(_LEN.size + len(request))
-                try:
-                    response = self.handler(request)
-                except Exception as exc:  # noqa: BLE001 - report to caller
-                    response = b"\x00ERR " + str(exc).encode("utf-8", "replace")
-                else:
-                    response = b"\x01" + response
-                try:
-                    send_frame(conn, response)
-                except OSError:
-                    return
-                self.meter.record_send(_LEN.size + len(response))
-
     def close(self) -> None:
         self._stop.set()
         try:
             self._server.close()
         except OSError:
             pass
+        self.hang_up()
         self._thread.join(timeout=2.0)
 
 
-class TcpTransport:
-    """Transport facade matching :class:`InProcessTransport`'s interface.
+class TcpTransport(TcpTransportCore):
+    """:class:`~repro.simnet.tcp.TcpTransportCore` on blocking sockets."""
 
-    Endpoints live in the same process but all traffic crosses the kernel's
-    loopback TCP stack.
+    _endpoint_cls = TcpEndpoint
 
-    ``connect_timeout_s`` bounds connection establishment and
-    ``request_timeout_s`` bounds each send/receive once connected; a dead
-    or wedged endpoint surfaces as :class:`TransportError` instead of
-    hanging the caller forever.  ``idle_timeout_s`` is how long a bound
-    endpoint's worker waits for the next frame on an open connection; it
-    defaults to ``request_timeout_s`` so a transport configured for slow
-    requests does not have its server side hang up early.
-    ``max_conns`` caps concurrent connections per bound endpoint (see
-    :class:`TcpEndpoint`); ``None`` (the default) keeps the historical
-    unbounded behaviour.
-    """
-
-    def __init__(
-        self,
-        *,
-        connect_timeout_s: float = 5.0,
-        request_timeout_s: float = 5.0,
-        idle_timeout_s: Optional[float] = None,
-        max_conns: Optional[int] = None,
-    ) -> None:
-        if connect_timeout_s <= 0 or request_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
-        if idle_timeout_s is not None and idle_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
-        if max_conns is not None and max_conns < 1:
-            raise ValueError(f"max_conns must be >= 1, got {max_conns}")
-        self.connect_timeout_s = connect_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self.idle_timeout_s = (
-            idle_timeout_s if idle_timeout_s is not None else request_timeout_s
-        )
-        self.max_conns = max_conns
-        self._endpoints: dict[str, TcpEndpoint] = {}
-        self.meters: dict[str, TrafficMeter] = {}
-        self._lock = threading.Lock()
-
-    def bind(self, endpoint: str, handler: Callable[[bytes], bytes]) -> None:
-        with self._lock:
-            if endpoint in self._endpoints:
-                raise TransportError(f"endpoint already bound: {endpoint!r}")
-            self._endpoints[endpoint] = TcpEndpoint(
-                endpoint,
-                handler,
-                idle_timeout_s=self.idle_timeout_s,
-                max_conns=self.max_conns,
-            )
-            self.meters.setdefault(endpoint, TrafficMeter())
-
-    def unbind(self, endpoint: str) -> None:
-        with self._lock:
-            ep = self._endpoints.pop(endpoint, None)
-        if ep is not None:
-            ep.close()
-
-    def endpoints(self) -> list[str]:
-        with self._lock:
-            return sorted(self._endpoints)
-
-    def meter(self, endpoint: str) -> TrafficMeter:
-        with self._lock:
-            return self.meters.setdefault(endpoint, TrafficMeter())
-
-    def endpoint_meter(self, endpoint: str) -> TrafficMeter:
-        """The server-side meter of a bound endpoint (ledger symmetry)."""
-        with self._lock:
-            ep = self._endpoints.get(endpoint)
-        if ep is None:
-            raise TransportError(f"no handler bound for endpoint {endpoint!r}")
-        return ep.meter
-
-    def request(self, src: str, dst: str, payload: bytes) -> bytes:
-        with self._lock:
-            ep = self._endpoints.get(dst)
-        if ep is None:
-            raise TransportError(f"no handler bound for endpoint {dst!r}")
-        meter = self.meter(src)
+    def _connect(self, address: tuple[str, int]) -> _SocketStream:
         try:
-            with socket.create_connection(
-                ep.address, timeout=self.connect_timeout_s
-            ) as sock:
-                sock.settimeout(self.request_timeout_s)
-                send_frame(sock, payload)
-                # Only a frame that actually went out counts: a refused or
-                # timed-out connection must leave the ledger untouched.
-                meter.record_send(_LEN.size + len(payload))
-                framed = recv_frame(sock)
-        except socket.timeout as exc:
-            raise TransportError(
-                f"timed out talking to endpoint {dst!r} at {ep.address}: {exc}"
-            ) from exc
-        except ConnectionError as exc:
-            raise TransportError(
-                f"connection to endpoint {dst!r} at {ep.address} failed: {exc}"
-            ) from exc
-        meter.record_receive(_LEN.size + len(framed))
-        if not framed:
-            raise TransportError("empty response frame")
-        status, body = framed[0], framed[1:]
-        if status != 1:
-            raise TransportError(body.decode("utf-8", "replace"))
-        return body
+            sock = socket.create_connection(address, timeout=self.connect_timeout_s)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _RCVBUF)  # as start()
+        except OSError as exc:
+            raise _failure(exc) from exc
+        return _SocketStream(sock)
 
-    def close(self) -> None:
-        with self._lock:
-            endpoints = list(self._endpoints.values())
-            self._endpoints.clear()
-        for ep in endpoints:
-            ep.close()
+    bind = blocking(TcpTransportCore._bind_steps)
+    unbind = blocking(TcpTransportCore._unbind_steps)
+    request = blocking(TcpTransportCore._request_steps)
+    close = blocking(TcpTransportCore._close_steps)
 
     def __enter__(self) -> "TcpTransport":
         return self

@@ -22,14 +22,18 @@ from repro.telemetry.tracing import Tracer
 
 SRC = Path(repro.__file__).resolve().parent
 MAX_DRIVER_STATEMENTS = 3
-# The serving core proper: any coroutine function here is a driver.
+# The serving core proper: any coroutine function here is a driver —
+# bar the IO methods of the asyncio transport's stream class, which are
+# the awaits every effect bottoms out in.
 CORE_FILES = (
     "core/asyncclient.py",
     "core/appserver.py",
     "core/kernelpool.py",
     "store/chunkstore.py",
     "store/serving.py",
+    "simnet/asyncnet.py",
 )
+TCP_ADAPTERS = ("simnet/realnet.py", "simnet/asyncnet.py")
 
 
 def _body_size(fn: ast.AST) -> int:
@@ -106,13 +110,51 @@ class TestNoTwinGrowsBack:
         for rel, tree in _trees():
             if rel not in CORE_FILES:
                 continue
+            stream_io = {
+                fn
+                for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name.endswith("Stream")
+                for fn in cls.body
+            }
             for node in ast.walk(tree):
                 if (
                     isinstance(node, ast.AsyncFunctionDef)
+                    and node not in stream_io
                     and _body_size(node) > MAX_DRIVER_STATEMENTS
                 ):
                     offenders.append(f"{rel}:{node.name}")
         assert not offenders, f"coroutine bodies in the serving core: {offenders}"
+
+    def test_the_tcp_protocol_is_written_once_and_sans_io(self):
+        """``simnet/tcp.py`` holds the protocol and touches no socket;
+        the two adapters hold the sockets and none of the protocol."""
+        trees = dict(_trees())
+
+        def imports(tree):
+            return {
+                name.split(".")[0]
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom))
+                for name in [getattr(n, "module", None) or "", *(a.name for a in n.names)]
+            }
+
+        core = trees["simnet/tcp.py"]
+        assert not imports(core) & {"socket", "asyncio"}
+        assert not [n for n in ast.walk(core) if isinstance(n, ast.AsyncFunctionDef)]
+        for rel in TCP_ADAPTERS:
+            nodes = list(ast.walk(trees[rel]))
+            mentioned = imports(trees[rel])
+            mentioned |= {n.id for n in nodes if isinstance(n, ast.Name)}
+            mentioned |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            assert not mentioned & {"struct", "_LEN", "pack", "unpack"}, rel
+            status_literals = [
+                n.value
+                for n in nodes
+                if isinstance(n, ast.Constant)
+                and isinstance(n.value, bytes)
+                and n.value[:1] in (b"\x00", b"\x01")
+            ]
+            assert not status_literals, f"{rel}: {status_literals}"
 
     def test_the_stepping_loop_lives_in_one_module(self):
         """Calling ``.send()`` / ``.throw()`` is stepping a generator;

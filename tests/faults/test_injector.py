@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro import drive
 from repro.faults.injector import (
+    AsyncFaultingTransport,
     FaultingChannel,
     FaultingEdge,
     FaultingTransport,
@@ -178,6 +180,37 @@ class TestFaultingTransport:
         assert proxy.restarts == 1
         wrapped.request("cli", "proxy", b"2")
         assert proxy.restarts == 1  # duration=1: fired exactly once
+
+    def test_same_rules_over_an_asyncio_transport(self):
+        """The reply is awaited before a corruption rule touches it, and
+        the two drivers draw the same faults from the same seed."""
+        import asyncio
+
+        class _AsyncFake(_FakeTransport):
+            async def request(self, src, dst, payload):
+                return _FakeTransport.request(self, src, dst, payload)
+
+        plan = FaultPlan.of(
+            FaultRule.frame_loss("svc", probability=0.3),
+            FaultRule.frame_corrupt("svc", probability=0.3),
+        )
+
+        def outcomes(transport):
+            seen = []
+            for _ in range(40):
+                try:
+                    seen.append((yield drive.call(transport.request, "cli", "svc", b"hi")))
+                except TransportError as exc:
+                    seen.append(str(exc))
+            return seen
+
+        sync = FaultingTransport(_FakeTransport(), FaultInjector(plan, seed=5))
+        aio = AsyncFaultingTransport(_AsyncFake(), FaultInjector(plan, seed=5))
+        blocking = drive.run(outcomes(sync))
+        on_loop = asyncio.run(drive.run_async(outcomes(aio)))
+        assert on_loop == blocking
+        kinds = {o if isinstance(o, str) else (o == b"reply:hi") for o in on_loop}
+        assert len(kinds) == 3  # lost, corrupted and clean all occurred
 
 
 def _edge_with_two_objects():

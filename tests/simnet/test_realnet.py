@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.simnet.realnet import TcpTransport
+from repro.simnet.realnet import TcpTransport, recv_frame, send_frame
 from repro.simnet.transport import TransportError
 
 
@@ -113,12 +113,17 @@ class TestWorkerReaping:
     def test_worker_threads_stay_bounded(self, transport):
         """Regression: 100 short-lived connections must not leave 100
         worker threads queued for join at close."""
+        import socket
         import time
 
         transport.bind("svc", lambda p: p)
         ep = transport._endpoints["svc"]
+        # Raw one-shot connections: the transport's own client would keep
+        # one connection (and so one worker) for all hundred requests.
         for i in range(100):
-            assert transport.request("cli", "svc", b"%d" % i) == b"%d" % i
+            with socket.create_connection(ep.address, timeout=2.0) as sock:
+                send_frame(sock, b"%d" % i)
+                assert recv_frame(sock) == b"\x01%d" % i
         # Workers exit as soon as their connection closes; the accept
         # loop reaps them on its next iteration (<= 0.1s accept timeout).
         deadline = time.monotonic() + 3.0
@@ -195,6 +200,8 @@ class TestConnectionCap:
 
     def test_over_cap_connection_is_shed_with_typed_overload_error(self):
         """The cap sheds with a framed error, not a silent drop."""
+        import time
+
         entered = threading.Event()
         release = threading.Event()
 
@@ -219,6 +226,10 @@ class TestConnectionCap:
                 # frame is recorded received and the rejection recorded
                 # sent (the holder's reply isn't out yet, so sent == 1).
                 assert endpoint.meter.messages_received == 2
+                # Recorded just after the bytes left: settle, as above.
+                deadline = time.monotonic() + 2.0
+                while endpoint.meter.messages_sent != 1 and time.monotonic() < deadline:
+                    time.sleep(0.001)
                 assert endpoint.meter.messages_sent == 1
             finally:
                 release.set()
@@ -227,16 +238,9 @@ class TestConnectionCap:
     def test_shed_slot_is_reusable_after_the_holder_finishes(self):
         with TcpTransport(max_conns=1) as t:
             t.bind("echo", lambda p: p)
-            # Sequential requests each close their connection first, so a
-            # cap of one never sheds well-behaved clients (the accept
-            # loop reaps the finished worker; wait out that small race).
-            import time
-
+            # Sequential requests of one peer reuse its one connection, so
+            # a cap of one never sheds a well-behaved client.
             for i in range(3):
-                deadline = time.monotonic() + 2.0
-                while (
-                    t._endpoints["echo"].worker_count
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
                 assert t.request("cli", "echo", b"x%d" % i) == b"x%d" % i
+            assert t._endpoints["echo"].conns_shed == 0
+            assert t._endpoints["echo"].connections_served == 1
